@@ -30,7 +30,7 @@ import tempfile
 import threading
 import time
 
-import repro.service.engine as engine_module
+import repro.service.jobs as jobs_module
 from repro import CompileEngine, CompileTarget
 from repro.algorithms import build_algorithm
 from repro.service import (
@@ -103,13 +103,13 @@ def main() -> None:
 
         # --- queue-full: saturate the engine deterministically -------------
         gate = threading.Event()
-        real = engine_module.compile_pipeline
+        real = jobs_module.compile_pipeline
 
         def gated(job_target, cache=None):  # hold solves until the demo says go
             gate.wait(30)
             return real(job_target, cache=cache)
 
-        engine_module.compile_pipeline = gated
+        jobs_module.compile_pipeline = gated
         try:
             cold = targets(4)[1:]  # fresh fingerprints: real solver work
             inflight = []
@@ -144,7 +144,7 @@ def main() -> None:
             )
         finally:
             gate.set()
-            engine_module.compile_pipeline = real
+            jobs_module.compile_pipeline = real
     finally:
         server.stop()
         engine.shutdown()

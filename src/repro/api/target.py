@@ -99,41 +99,6 @@ class CompileTarget:
         object.__setattr__(self, "options", options)
         object.__setattr__(self, "metadata", dict(self.metadata))
 
-    @classmethod
-    def from_kwargs(
-        cls,
-        dag: PipelineDAG,
-        *,
-        image_width: int,
-        image_height: int,
-        memory_spec: MemorySpec | None = None,
-        options: SchedulerOptions | None = None,
-        coalescing: bool = False,
-        generator: str = IMAGEN_GENERATOR,
-        label: str = "",
-        metadata: dict[str, Any] | None = None,
-    ) -> "CompileTarget":
-        """Build a target from the historical loose-kwarg vocabulary.
-
-        The single conversion point behind every deprecated entry point
-        (``compile_pipeline(dag, ...)``, ``engine.compile(dag, ...)``,
-        ``CompileRequest.to_target``): the ``coalescing`` convenience flag is
-        folded onto a copy of the options.
-        """
-        options = options or SchedulerOptions()
-        if coalescing and not options.coalescing:
-            options = dc_replace(options, coalescing=True)
-        return cls(
-            dag=dag,
-            image_width=image_width,
-            image_height=image_height,
-            memory_spec=memory_spec,
-            options=options,
-            generator=generator,
-            label=label,
-            metadata=metadata or {},
-        )
-
     # ------------------------------------------------------------ derivations
     def with_options(self, **changes: Any) -> "CompileTarget":
         """A new target with the given :class:`SchedulerOptions` fields replaced.
@@ -219,3 +184,18 @@ class CompileTarget:
             f"{self.image_width}x{self.image_height}, {self.memory_spec.name}, "
             f"generator={self.generator})"
         )
+
+
+def require_target(value: object, caller: str) -> CompileTarget:
+    """Return ``value`` if it is a :class:`CompileTarget`, else raise ``TypeError``.
+
+    Entry points take only targets; a bare :class:`PipelineDAG` (the shape of
+    the old ``(dag, image_width=..., ...)`` calls) gets an error that says
+    what to build instead of an ``AttributeError`` from deep inside.
+    """
+    if not isinstance(value, CompileTarget):
+        raise TypeError(
+            f"{caller} takes a repro.api.CompileTarget, got {type(value).__name__}; "
+            "build one with CompileTarget(dag, image_width=..., image_height=...)"
+        )
+    return value

@@ -92,8 +92,9 @@ class SchedulerOptions:
         ``"bigm"`` (indicator variables, one solve) or ``"enumerate"``
         (Cartesian product of sub-problems, the paper's formulation).
     backend:
-        ILP backend passed to :func:`repro.ilp.solver.solve` (``"race"``
-        races the Python and HiGHS backends).
+        ILP backend passed to :func:`repro.ilp.solver.solve`: ``"auto"``
+        (the ``REPRO_ILP_BACKEND`` variable, else HiGHS when importable,
+        else Python), ``"highs"`` or ``"python"``.
     max_subproblems:
         Safety valve for the enumeration strategy.
     """

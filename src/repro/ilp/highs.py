@@ -56,12 +56,16 @@ def solve_highs(model: Model) -> SolveResult:
     ub = np.array([v.ub if v.ub is not None else np.inf for v in model.variables])
     integrality = np.array([1 if v.integer else 0 for v in model.variables])
 
-    result = milp(
-        c=c,
-        constraints=constraints,
-        bounds=Bounds(lb, ub),
-        integrality=integrality,
-    )
+    bounds = Bounds(lb, ub)
+    result = milp(c=c, constraints=constraints, bounds=bounds, integrality=integrality)
+    if result.status == 4 and "unbounded or infeasible" in result.message:
+        # HiGHS presolve may not tell the two apart; a feasible zero-objective
+        # solve means the model is unbounded, as the Python backend reports.
+        feasible = milp(
+            c=np.zeros(n), constraints=constraints, bounds=bounds, integrality=integrality
+        )
+        status = SolveStatus.UNBOUNDED if feasible.status == 0 else SolveStatus.INFEASIBLE
+        return SolveResult(status=status, backend="highs", message=result.message)
 
     # scipy status codes: 0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded.
     if result.status == 2:

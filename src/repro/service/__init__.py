@@ -9,9 +9,8 @@ unified :class:`repro.api.CompileTarget` request object:
 
 * :mod:`repro.service.cache` — two-tier (LRU + sharded disk) schedule cache
   with optional size/age GC for shared volumes;
-* :mod:`repro.service.jobs` — typed result/batch records, job execution
-  (including the process-pool wire-payload task) and the legacy
-  :class:`CompileRequest`, kept as a deprecated shim;
+* :mod:`repro.service.jobs` — typed result/batch records and job execution
+  (including the process-pool wire-payload task);
 * :mod:`repro.service.executor` — pluggable execution backends
   (``inline``/``thread``/``process`` plus the autoscaling
   ``thread:auto``/``process:auto``), selected via
@@ -25,6 +24,8 @@ unified :class:`repro.api.CompileTarget` request object:
 * :mod:`repro.service.admission` — admission control: bearer-token
   authentication, per-identity token-bucket rate limiting, and the bounded
   fair submission queue behind ``CompileEngine(max_pending=...)``;
+* :mod:`repro.service.tier` — the job tier both engines compose: in-flight
+  dedup, the admission queue and dispatch to the executor backend;
 * :mod:`repro.service.engine` — the :class:`CompileEngine` front door, with
   synchronous (``submit``/``submit_batch``) and asyncio
   (``submit_async``/``submit_batch_async``) serving fronts plus opt-in
@@ -122,7 +123,6 @@ from repro.service.http import (
 )
 from repro.service.jobs import (
     BatchResult,
-    CompileRequest,
     CompileResult,
     CompileStatus,
 )
@@ -175,7 +175,6 @@ __all__ = [
     "CacheStats",
     "CompileCache",
     "CompileEngine",
-    "CompileRequest",
     "CompileResult",
     "CompileServiceServer",
     "CompileStatus",

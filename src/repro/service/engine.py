@@ -71,9 +71,6 @@ manager::
 Results are identical to the synchronous paths for the same targets, and the
 cache, dedup and metrics machinery is shared — an async client and a sync
 batch racing on the same design point still trigger exactly one solve.
-
-Legacy :class:`CompileRequest` objects are still accepted everywhere a target
-is (converted via ``request.to_target()`` with a :class:`DeprecationWarning`).
 """
 
 from __future__ import annotations
@@ -82,50 +79,38 @@ import asyncio
 import os
 import threading
 import time
-import warnings
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import Future
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
-from repro.api.target import CompileTarget
-from repro.core.compiler import CompiledAccelerator, compile_pipeline
+from repro.api.target import CompileTarget, require_target
+from repro.core.compiler import CompiledAccelerator
 from repro.service.admission import (
-    AdmissionQueue,
     QueueFullError,
     default_max_pending,
     validate_max_pending,
 )
-from repro.core.scheduler import SchedulerOptions
-from repro.ir.dag import PipelineDAG
-from repro.memory.spec import MemorySpec
 from repro.service.cache import CompileCache, DiskCacheStore
-from repro.service.events import emit_event
 from repro.service.executor import (
     WORKERS_ENV_VAR,
     ExecutorBackend,
-    relay_future,
     resolve_executor,
     validate_worker_count,
 )
 from repro.service.jobs import (
     SOURCE_DEDUPLICATED,
     BatchResult,
-    CompileRequest,
     CompileResult,
-    derive_source,
+    execute_target,
     rejected_result,
 )
 from repro.service.metrics import EngineMetrics, RequestTrace
-from repro.trace import collect_spans, default_tracing
+from repro.service.tier import JobTier
+from repro.trace import default_tracing
 
 #: Resolutions speculatively pre-warmed by ``CompileEngine(prewarm=True)``:
 #: the paper's two evaluation sizes (320p and 1080p).
 PREWARM_RESOLUTIONS: tuple[tuple[int, int], ...] = ((480, 320), (1920, 1080))
-
-
-async def _resolved(value):
-    """An already-settled awaitable (gather alignment for preset batch slots)."""
-    return value
 
 
 def default_worker_count() -> int:
@@ -226,29 +211,19 @@ class CompileEngine:
         self.prewarm_resolutions = tuple(prewarm_resolutions)
         self.tracing = default_tracing() if tracing is None else bool(tracing)
         self.metrics = EngineMetrics()
-        if max_pending is None:
-            max_pending = default_max_pending()
-        else:
-            max_pending = validate_max_pending(max_pending)
-        self.max_pending = max_pending
+        self.max_pending = (
+            default_max_pending() if max_pending is None else validate_max_pending(max_pending)
+        )
         self.overflow = overflow
-        if max_pending is not None:
-            # Retry-After for shed jobs: roughly one mean solve, so clients
-            # back off in proportion to how expensive this workload is.  The
-            # dispatch width follows the *backend's* fleet (a ready-made
-            # ExecutorBackend instance may size itself differently from the
-            # engine default).
-            self._admission: AdmissionQueue | None = AdmissionQueue(
-                self._executor.workers,
-                max_pending=max_pending,
-                policy=overflow,
-                retry_after=lambda: self.metrics.mean_seconds or 1.0,
-            )
-        else:
-            if overflow not in ("shed", "block"):
-                raise ValueError(f"overflow must be 'shed' or 'block', got {overflow!r}")
-            self._admission = None
-        self._inflight: dict[str, Future] = {}
+        # Retry-After for shed jobs: roughly one mean solve, so clients back
+        # off in proportion to how expensive this workload is.
+        self._tier = JobTier(
+            self._executor,
+            max_pending=self.max_pending,
+            overflow=overflow,
+            retry_after=lambda: self.metrics.mean_seconds or 1.0,
+            absorb=self._absorb_remote_result if self._executor.remote else None,
+        )
         self._prewarm_pending: set[Future] = set()
         self._lock = threading.Lock()
 
@@ -282,80 +257,19 @@ class CompileEngine:
         ``CancelledError``.  The engine stays usable — the next batch
         submission transparently recreates the pool.
         """
-        if cancel_pending and self._admission is not None:
-            self._admission.cancel_pending()
+        if cancel_pending:
+            self._tier.cancel_pending()
         self._executor.shutdown(wait, cancel_pending=cancel_pending)
 
-    # -------------------------------------------------------- normalization
-    @staticmethod
-    def _as_target(item: CompileTarget | CompileRequest) -> CompileTarget:
-        if isinstance(item, CompileTarget):
-            return item
-        if isinstance(item, CompileRequest):
-            warnings.warn(
-                "Submitting CompileRequest objects is deprecated; build a "
-                "repro.api.CompileTarget instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return item.to_target()
-        raise TypeError(f"Expected CompileTarget or CompileRequest, got {type(item).__name__}")
-
     # ------------------------------------------------------------ single job
-    def compile(
-        self,
-        pipeline: CompileTarget | PipelineDAG,
-        *,
-        image_width: int | None = None,
-        image_height: int | None = None,
-        memory_spec: MemorySpec | None = None,
-        coalescing: bool = False,
-        options: SchedulerOptions | None = None,
-        label: str = "",
-    ) -> CompiledAccelerator:
+    def compile(self, target: CompileTarget) -> CompiledAccelerator:
         """Compile one target through the cache and return the accelerator.
 
-        ``engine.compile(target)`` is shorthand for
-        ``engine.submit(target).unwrap()``.  The loose kwarg form
-        ``engine.compile(dag, image_width=..., ...)`` is deprecated; it builds
-        a target internally and emits a :class:`DeprecationWarning`.
+        Shorthand for ``engine.submit(target).unwrap()``.
         """
-        if isinstance(pipeline, CompileTarget):
-            if (
-                image_width is not None
-                or image_height is not None
-                or memory_spec is not None
-                or options is not None
-                or coalescing
-                or label
-            ):
-                raise TypeError(
-                    "engine.compile(target) takes no compile kwargs; derive the "
-                    "target instead (target.with_options(...), .with_label(...))"
-                )
-            return self.submit(pipeline).unwrap()
-        warnings.warn(
-            "engine.compile(dag, image_width=..., ...) is deprecated; build a "
-            "repro.api.CompileTarget and call engine.compile(target)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if image_width is None or image_height is None:
-            raise TypeError("engine.compile requires image_width and image_height")
-        target = CompileTarget.from_kwargs(
-            pipeline,
-            image_width=image_width,
-            image_height=image_height,
-            memory_spec=memory_spec,
-            options=options,
-            coalescing=coalescing,
-            label=label,
-        )
         return self.submit(target).unwrap()
 
-    def submit(
-        self, target: CompileTarget | CompileRequest, *, client: str = ""
-    ) -> CompileResult:
+    def submit(self, target: CompileTarget, *, client: str = "") -> CompileResult:
         """Run one target synchronously, via the cache.
 
         With the in-process backends (``inline``/``thread``) the job runs on
@@ -377,42 +291,31 @@ class CompileEngine:
         :class:`repro.service.admission.QueueFullError` (or blocks, per the
         ``overflow`` policy) while cache-answerable submits stay inline.
         """
-        target = self._as_target(target)
-        fingerprint = target.fingerprint
-        gated = self._executor.remote or self._admission is not None
-        if gated and not self._answerable_inline(target, fingerprint):
-            future, owner = self._enqueue(target, fingerprint, {}, client=client)
-            outcome: CompileResult = future.result()
-            self._speculate(target)
-            return self._collect(target, future=None, outcome=outcome, owner=owner)
-        future: Future = Future()
-        # Mark the future running *before* publishing it: a joiner whose
-        # asyncio wrapper gets cancelled would otherwise cancel() the pending
-        # future and make our set_result() below raise InvalidStateError.
-        future.set_running_or_notify_cancel()
-        with self._lock:
-            existing = self._inflight.get(fingerprint)
-            if existing is None:
-                self._inflight[fingerprint] = future
-        if existing is not None:
-            return self._collect(target, future=existing, outcome=None, owner=False)
-        try:
-            result = self._execute(target, fingerprint)
-        except BaseException as exc:
-            # _execute captures compile errors in the result; anything that
-            # still escapes is fatal — propagate it to waiters before
-            # unpublishing, so they never re-run the solve obliviously.
-            future.set_exception(exc)
-            self._clear_inflight(fingerprint)
-            raise
-        future.set_result(result)
-        self._clear_inflight(fingerprint)
+        fingerprint = require_target(target, "CompileEngine.submit").fingerprint
+        if self._tier.gated and not self._answerable_inline(target, fingerprint):
+            future, owner = self._tier.enqueue(
+                fingerprint, self._execute, target, client=client
+            )
+            result = self._collect(target, future, owner)
+        else:
+            result = self._run_in_place(target)
         self._speculate(target)
-        return self._collect(target, future=None, outcome=result, owner=True)
+        return result
 
-    async def submit_async(
-        self, target: CompileTarget | CompileRequest, *, client: str = ""
-    ) -> CompileResult:
+    def _run_in_place(self, target: CompileTarget) -> CompileResult:
+        """Compile on the calling thread, joining an identical in-flight job.
+
+        Never admission-gated: besides cache-answerable submits, verify
+        bodies compile through here — they already hold an executor slot,
+        and queueing their compile behind themselves could deadlock.
+        """
+        fingerprint = target.fingerprint
+        future, owner = self._tier.run(
+            fingerprint, lambda: self._execute(target, fingerprint)
+        )
+        return self._collect(target, future, owner)
+
+    async def submit_async(self, target: CompileTarget, *, client: str = "") -> CompileResult:
         """Await one target on the worker pool without blocking the event loop.
 
         The result is identical to :meth:`submit` for the same target; the
@@ -421,13 +324,14 @@ class CompileEngine:
         costs nothing extra — and a saturated engine sheds or blocks exactly
         as it would for a synchronous submitter.
         """
-        target = self._as_target(target)
         future, owner = await self._enqueue_off_loop(
-            lambda: self._enqueue(target, target.fingerprint, {}, client=client)
+            lambda: self._tier.enqueue(
+                target.fingerprint, self._execute, target, client=client
+            )
         )
-        outcome: CompileResult = await asyncio.wrap_future(future)
+        await asyncio.wrap_future(future)
         self._speculate(target)
-        return self._collect(target, future=None, outcome=outcome, owner=owner)
+        return self._collect(target, future, owner)
 
     async def _enqueue_off_loop(self, enqueue: "Callable[[], object]"):
         """Run an enqueue, keeping blocking admission off the event loop.
@@ -438,16 +342,13 @@ class CompileEngine:
         offloaded to the default thread pool.  The shed policy never blocks
         (it raises immediately), so the cheap direct call stays.
         """
-        if self._admission is not None and self._admission.policy == "block":
+        if self._tier.blocking:
             return await asyncio.get_running_loop().run_in_executor(None, enqueue)
         return enqueue()
 
     # ----------------------------------------------------------------- batch
     def submit_batch(
-        self,
-        requests: Sequence[CompileTarget | CompileRequest] | Iterable[CompileTarget | CompileRequest],
-        *,
-        client: str = "",
+        self, targets: Sequence[CompileTarget] | Iterable[CompileTarget], *, client: str = ""
     ) -> BatchResult:
         """Compile many targets concurrently; results come back in order.
 
@@ -460,34 +361,19 @@ class CompileEngine:
         same way: error results with ``source="rejected"``, never a raised
         batch.
         """
-        targets = [self._as_target(request) for request in requests]
         started = time.perf_counter()
-        slots = self._enqueue_all(targets, client=client)
         results = []
-        for target, future, owner, preset in slots:
-            if preset is not None:
-                results.append(self._reject(preset))
-                continue
+        for target, future, owner in self._enqueue_all(list(targets), client=client):
             try:
-                results.append(
-                    self._collect(target, future=future, outcome=None, owner=owner)
-                )
+                results.append(self._collect(target, future, owner))
             except QueueFullError as exc:
-                # A dedup sharer whose owner was shed: report the shed, don't
-                # kill the batch.
-                results.append(self._reject(rejected_result(target, str(exc))))
-        self.metrics.record_batch()
-        return BatchResult(
-            results=results,
-            seconds=time.perf_counter() - started,
-            cache_stats=self.cache.stats.snapshot(),
-        )
+                # Shed, or a dedup sharer whose owner was shed: report the
+                # shed, don't kill the batch.
+                results.append(self._reject(target, exc))
+        return self._batch_result(results, started)
 
     async def submit_batch_async(
-        self,
-        requests: Sequence[CompileTarget | CompileRequest] | Iterable[CompileTarget | CompileRequest],
-        *,
-        client: str = "",
+        self, targets: Sequence[CompileTarget] | Iterable[CompileTarget], *, client: str = ""
     ) -> BatchResult:
         """Async twin of :meth:`submit_batch`: await a whole batch at once.
 
@@ -498,31 +384,26 @@ class CompileEngine:
         while the batch is queued, the await raises
         :class:`asyncio.CancelledError`.
         """
-        targets = [self._as_target(request) for request in requests]
+        targets = list(targets)
         started = time.perf_counter()
         slots = await self._enqueue_off_loop(
             lambda: self._enqueue_all(targets, client=client)
         )
         outcomes = await asyncio.gather(
-            *(
-                asyncio.wrap_future(future) if future is not None else _resolved(preset)
-                for _, future, _, preset in slots
-            ),
+            *(asyncio.wrap_future(future) for _, future, _ in slots),
             return_exceptions=True,
         )
         results = []
-        for (target, future, owner, preset), outcome in zip(slots, outcomes):
-            if preset is not None:
-                results.append(self._reject(preset))
-                continue
+        for (target, future, owner), outcome in zip(slots, outcomes):
             if isinstance(outcome, QueueFullError):
-                results.append(self._reject(rejected_result(target, str(outcome))))
-                continue
-            if isinstance(outcome, BaseException):
+                results.append(self._reject(target, outcome))
+            elif isinstance(outcome, BaseException):
                 raise outcome  # cancellation and fatal errors keep propagating
-            results.append(
-                self._collect(target, future=None, outcome=outcome, owner=owner)
-            )
+            else:
+                results.append(self._collect(target, future, owner))
+        return self._batch_result(results, started)
+
+    def _batch_result(self, results: list[CompileResult], started: float) -> BatchResult:
         self.metrics.record_batch()
         return BatchResult(
             results=results,
@@ -550,113 +431,9 @@ class CompileEngine:
             return fingerprint in self.cache and plain.fingerprint in self.cache
         return fingerprint in self.cache
 
-    def _enqueue(
-        self,
-        target: CompileTarget,
-        fingerprint: str,
-        local: dict[str, Future],
-        *,
-        client: str = "",
-        gate: bool = True,
-    ) -> tuple[Future, bool]:
-        """Queue one target on the executor backend, deduplicating against
-        ``local`` and the engine-wide in-flight table.  Returns
-        ``(future, owner)``.
-
-        The published future is a placeholder the backend's future relays
-        into, so the actual ``executor.submit`` happens *outside* the engine
-        lock — the inline backend runs whole compiles in ``submit``, and the
-        process backend wire-encodes the target there; neither may stall
-        every other engine operation.  (Marked running before publication for
-        the same cancel-proofing as inline submits.)
-
-        With an admission queue configured, the dispatch is routed through it
-        under the ``client`` identity instead of hitting the executor
-        directly; a shed job settles the published placeholder with the
-        :class:`QueueFullError` (so dedup joiners observe the same rejection)
-        and re-raises it to the submitter.  ``gate=False`` (speculative
-        pre-warm jobs) skips the queue: engine-initiated work must never
-        consume a client's ``max_pending`` slots, inflate ``rejected_total``,
-        or — under the block policy — stall the request that triggered it.
-        """
-        future = local.get(fingerprint)
-        if future is not None:
-            return future, False
-        with self._lock:
-            future = self._inflight.get(fingerprint)
-            owner = future is None
-            if owner:
-                future = Future()
-                future.set_running_or_notify_cancel()
-                self._inflight[fingerprint] = future
-        if owner:
-            # Registered outside the lock: if the job already finished, the
-            # callbacks run inline and must be able to take the lock.
-            if self._executor.remote:
-                future.add_done_callback(self._absorb_remote_result)
-            future.add_done_callback(lambda _f, fp=fingerprint: self._clear_inflight(fp))
-            if self._admission is None or not gate:
-                try:
-                    inner = self._executor.submit(self._execute, target, fingerprint)
-                except BaseException as exc:
-                    # The placeholder is already published: settle it so
-                    # joiners unblock with the same failure and the
-                    # done-callbacks clear the in-flight table — a fingerprint
-                    # must never dedup against a future that can no longer
-                    # resolve.
-                    future.set_exception(exc)
-                    raise
-                inner.add_done_callback(
-                    lambda done, out=future: relay_future(done, out)
-                )
-            else:
-                dispatch = self._dispatcher(target, fingerprint, future)
-                try:
-                    self._admission.submit(
-                        dispatch,
-                        client=client,
-                        # A job dropped by shutdown(cancel_pending=True) must
-                        # settle its placeholder, or dedup joiners hang on a
-                        # future nothing will ever resolve.
-                        on_cancel=lambda: future.set_exception(CancelledError()),
-                    )
-                except BaseException as exc:  # QueueFullError, or a broken queue
-                    future.set_exception(exc)
-                    if isinstance(exc, QueueFullError):
-                        emit_event(
-                            "queue.shed",
-                            identity=client,
-                            fingerprint=fingerprint,
-                            retry_after=round(exc.retry_after, 3),
-                        )
-                    raise
-        local[fingerprint] = future
-        return future, owner
-
-    def _dispatcher(
-        self, target: CompileTarget, fingerprint: str, future: Future
-    ) -> "Callable[[], Future | None]":
-        """The admission queue's deferred executor submission for one job.
-
-        Runs when a dispatch slot frees up — possibly on another thread, long
-        after the submitter admitted the job — so it must settle the
-        published placeholder itself on failure (returning ``None`` tells the
-        queue the slot is already free again).
-        """
-
-        def dispatch() -> Future | None:
-            try:
-                inner = self._executor.submit(self._execute, target, fingerprint)
-            except BaseException as exc:
-                future.set_exception(exc)
-                return None
-            inner.add_done_callback(lambda done, out=future: relay_future(done, out))
-            return inner
-
-        return dispatch
-
-    def _reject(self, result: CompileResult) -> CompileResult:
+    def _reject(self, target: CompileTarget, exc: QueueFullError) -> CompileResult:
         """Record a shed job in the request metrics and return its result."""
+        result = rejected_result(target, str(exc))
         self.metrics.record(self._trace(result))
         return result
 
@@ -709,8 +486,8 @@ class CompileEngine:
                 # bypasses the admission queue so it never occupies a
                 # client's max_pending slot, blocks the triggering request,
                 # or pollutes the rejected_total counter.
-                future, owner = self._enqueue(
-                    variant, variant.fingerprint, {}, gate=False
+                future, owner = self._tier.enqueue(
+                    variant.fingerprint, self._execute, variant, gate=False
                 )
             except Exception:
                 continue  # the client's own result must never pay for this
@@ -746,35 +523,27 @@ class CompileEngine:
 
     def _enqueue_all(
         self, targets: list[CompileTarget], *, client: str = ""
-    ) -> list[tuple[CompileTarget, Future | None, bool, CompileResult | None]]:
+    ) -> list[tuple[CompileTarget, Future, bool]]:
         # Batch-local duplicates always share one execution (deterministic,
         # immune to the owner finishing before the twin is enqueued).  A slot
-        # the admission queue sheds carries a preset rejected result instead
-        # of a future, so one saturated moment never aborts the whole batch.
+        # shed by the admission queue carries a future settled with the
+        # QueueFullError, so one saturated moment never aborts the whole batch.
         local: dict[str, Future] = {}
-        slots: list[tuple[CompileTarget, Future | None, bool, CompileResult | None]] = []
+        slots = []
         for target in targets:
             try:
-                future, owner = self._enqueue(
-                    target, target.fingerprint, local, client=client
+                future, owner = self._tier.enqueue(
+                    target.fingerprint, self._execute, target, local=local, client=client
                 )
             except QueueFullError as exc:
-                slots.append((target, None, True, rejected_result(target, str(exc))))
-                continue
-            slots.append((target, future, owner, None))
+                future, owner = Future(), True
+                future.set_exception(exc)
+            slots.append((target, future, owner))
         return slots
 
-    def _collect(
-        self,
-        target: CompileTarget,
-        *,
-        future: Future | None,
-        outcome: CompileResult | None,
-        owner: bool,
-    ) -> CompileResult:
+    def _collect(self, target: CompileTarget, future: Future, owner: bool) -> CompileResult:
         """Finalize one job: relabel dedup sharers, record metrics."""
-        if outcome is None:
-            outcome = future.result()
+        outcome: CompileResult = future.result()
         if owner:
             result = outcome
             # Stage histograms aggregate each executed job exactly once:
@@ -789,35 +558,8 @@ class CompileEngine:
         self.metrics.record(self._trace(result))
         return result
 
-    def _clear_inflight(self, fingerprint: str) -> None:
-        with self._lock:
-            self._inflight.pop(fingerprint, None)
-
     def _execute(self, target: CompileTarget, fingerprint: str) -> CompileResult:
-        # Kept on the engine (rather than delegating to jobs.execute_target)
-        # so the module-level compile_pipeline stays the single patch point
-        # for instrumenting in-process solves.
-        trace = collect_spans(enabled=self.tracing)
-        started = time.perf_counter()
-        try:
-            with trace:
-                accelerator = compile_pipeline(target, cache=self.cache)
-        except Exception as exc:  # one bad design point must not kill a batch
-            return CompileResult(
-                target=target,
-                fingerprint=fingerprint,
-                error=f"{type(exc).__name__}: {exc}",
-                seconds=time.perf_counter() - started,
-                spans=trace.spans,
-            )
-        return CompileResult(
-            target=target,
-            fingerprint=fingerprint,
-            accelerator=accelerator,
-            source=derive_source(accelerator),
-            seconds=time.perf_counter() - started,
-            spans=trace.spans,
-        )
+        return execute_target(target, self.cache, fingerprint, tracing=self.tracing)
 
     def _trace(self, result: CompileResult) -> RequestTrace:
         return RequestTrace(
@@ -848,18 +590,7 @@ class CompileEngine:
         Engines without a bounded queue report the same schema with zero
         counters, so metrics consumers never branch on configuration.
         """
-        if self._admission is None:
-            return {
-                "max_pending": None,
-                "overflow": self.overflow,
-                "queue_depth": 0,
-                "inflight": 0,
-                "admitted_total": 0,
-                "rejected_total": 0,
-                "blocked_total": 0,
-                "queued_clients": 0,
-            }
-        return self._admission.stats()
+        return self._tier.admission_stats()
 
     def describe(self) -> str:
         stats = self.cache.stats

@@ -39,12 +39,13 @@ production machinery compiles get:
 
 Results are keyed by a **verify fingerprint** — SHA-256 over the compile
 fingerprint x input spec (frames, seed, tolerance, expected digest) x check
-kind — and reuse the compile service's production tiers: verdicts live in an
-in-memory LRU plus the engine's shared :class:`~repro.service.cache.DiskCacheStore`
-volume, identical in-flight requests deduplicate onto one execution, cold
-verifies route through a bounded :class:`~repro.service.admission.AdmissionQueue`,
-and the replay itself runs on an in-process executor backend.  Compiles are
-*not* re-done: the engine's ``submit`` answers from its own cache/dedup/queue.
+kind.  Verdicts live in an in-memory LRU plus the engine's shared
+:class:`~repro.service.cache.DiskCacheStore` volume; cold verifies go through
+the same :class:`~repro.service.tier.JobTier` compiles use (in-flight dedup,
+the engine's admission settings, an in-process executor backend).  Each body
+compiles its target in place, through the engine's cache and compile dedup:
+it already holds an executor slot, so it never queues a compile behind
+itself.
 
 Verify bodies always run in-process (never the ``process`` backend): the
 NumPy replay releases the GIL, so threads scale, and shipping frame stacks
@@ -65,18 +66,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.api.fingerprint import _digest
 from repro.api.target import CompileTarget
 from repro.errors import SimulationError
-from repro.service.admission import AdmissionQueue, QueueFullError
+from repro.service.admission import QueueFullError
 from repro.service.engine import CompileEngine
-from repro.service.events import emit_event
-from repro.service.executor import ExecutorBackend, ThreadExecutor, relay_future, resolve_executor
+from repro.service.executor import ThreadExecutor
+from repro.service.tier import JobTier
 from repro.sim.batch import golden_frames, replay_frames
 from repro.sim.cycle import check_schedule_legality
 from repro.trace import Span, collect_spans, trace_span
@@ -314,63 +314,34 @@ class VerifyResult:
         return "; ".join(parts) or "verify failed"
 
 
-_INHERIT = object()
-
-
 class VerifyEngine:
     """Serve verify requests with caching, dedup and admission control.
 
     Parameters
     ----------
     engine:
-        The :class:`CompileEngine` whose compiles, disk-cache volume and
-        metrics this verify tier shares.  Compiling the target goes through
-        ``engine.submit`` — cache hits, dedup and the engine's own admission
-        queue all apply before any replay starts.
+        The :class:`CompileEngine` whose compiles, disk-cache volume, metrics
+        and settings this verify tier shares.  Verify bodies run on the
+        engine's backend when it is in-process (a private thread pool of the
+        same width when it is remote), under the engine's ``max_pending`` /
+        ``overflow`` admission settings and its ``tracing`` flag.  Each body
+        compiles its target in place through the engine's cache and in-flight
+        dedup, so a verify never queues behind itself for a compile.
     max_entries:
         In-memory verdict LRU bound.
-    executor:
-        In-process backend for verify bodies: an :class:`ExecutorBackend`, a
-        name (``"inline"``/``"thread"``), or ``None`` to share the engine's
-        backend when it is in-process (else a private thread pool of the same
-        width).  Remote backends are rejected — see the module docstring.
-    max_pending / overflow:
-        Admission bound and policy for cold verifies, defaulting to the
-        engine's settings (``max_pending=None`` disables the queue).
-    tracing:
-        Whether verify executions record spans (default: the engine's flag).
     """
 
-    def __init__(
-        self,
-        engine: CompileEngine,
-        *,
-        max_entries: int = 512,
-        executor: ExecutorBackend | str | None = None,
-        workers: int | None = None,
-        max_pending=_INHERIT,
-        overflow: str | None = None,
-        tracing: bool | None = None,
-    ) -> None:
+    def __init__(self, engine: CompileEngine, *, max_entries: int = 512) -> None:
         self.engine = engine
         self.max_entries = max(1, int(max_entries))
-        self.tracing = engine.tracing if tracing is None else bool(tracing)
-        self._executor = self._resolve_executor(executor, workers)
-        if max_pending is _INHERIT:
-            max_pending = engine.max_pending
-        self.max_pending = max_pending
-        self.overflow = overflow or engine.overflow
-        if max_pending is None:
-            self._admission: AdmissionQueue | None = None
-        else:
-            self._admission = AdmissionQueue(
-                self._executor.workers,
-                max_pending=max_pending,
-                policy=self.overflow,
-                retry_after=lambda: self.engine.metrics.mean_seconds or 1.0,
-            )
+        backend = engine._executor  # noqa: SLF001 - deliberate sharing
+        self._tier = JobTier(
+            ThreadExecutor(engine.workers) if backend.remote else backend,
+            max_pending=engine.max_pending,
+            overflow=engine.overflow,
+            retry_after=lambda: engine.metrics.mean_seconds or 1.0,
+        )
         self._lock = threading.Lock()
-        self._inflight: dict[str, Future] = {}
         self._verdicts: OrderedDict[str, dict] = OrderedDict()
         self._counters = {
             "requests": 0,
@@ -387,28 +358,12 @@ class VerifyEngine:
             "seconds_total": 0.0,
         }
 
-    def _resolve_executor(
-        self, executor: ExecutorBackend | str | None, workers: int | None
-    ) -> ExecutorBackend:
-        width = workers or self.engine.workers
-        if executor is None:
-            base = self.engine._executor  # noqa: SLF001 - deliberate sharing
-            return base if not base.remote else ThreadExecutor(width)
-        if isinstance(executor, str):
-            executor = resolve_executor(executor, workers=width)
-        if executor.remote:
-            raise ValueError(
-                f"verify bodies run in-process, not on the remote {executor.name!r} "
-                "backend (the replay releases the GIL; verdicts are small JSON)"
-            )
-        return executor
-
     # ------------------------------------------------------------ submission
     def submit(self, request: VerifyRequest, *, client: str = "") -> VerifyResult:
         """Verify one request; cached, deduplicated and admission-controlled.
 
         Raises :class:`~repro.service.admission.QueueFullError` when the
-        verify (or underlying compile) queue sheds the job, and
+        verify admission queue is full (shed policy), and
         :class:`~repro.errors.SimulationError` when ``request.strict`` and
         the check fails.
         """
@@ -423,23 +378,16 @@ class VerifyEngine:
             self._count_outcome(result)
             return self._finalize(result)
 
-        owner = False
-        with self._lock:
-            future = self._inflight.get(fingerprint)
-            if future is None:
-                owner = True
-                future = Future()
-                future.set_running_or_notify_cancel()
-                self._inflight[fingerprint] = future
-                future.add_done_callback(
-                    lambda _done, fp=fingerprint: self._forget(fp)
-                )
         try:
-            if owner:
-                # A shed raises out of the dispatch itself (the placeholder is
-                # settled with the same error for any joiners), so the counter
-                # must cover both the dispatch and the wait.
-                self._dispatch(request, fingerprint, future, client)
+            # A shed raises out of the enqueue itself (the placeholder is
+            # settled with the same error for any joiners), so the counter
+            # covers both the enqueue and the wait.
+            future, owner = self._tier.enqueue(
+                fingerprint,
+                lambda _target, _key: self._execute(request, fingerprint),
+                request.target,
+                client=client,
+            )
             result: VerifyResult = future.result()
         except QueueFullError:
             self._count(rejected=1)
@@ -454,52 +402,19 @@ class VerifyEngine:
         self._count_outcome(result)
         return self._finalize(result)
 
-    def _dispatch(
-        self, request: VerifyRequest, fingerprint: str, future: Future, client: str
-    ) -> None:
-        def run_local(_target, _fingerprint) -> VerifyResult:
-            return self._execute(request, fingerprint, client)
-
-        def dispatch() -> Future:
-            inner = self._executor.submit(run_local, request.target, fingerprint)
-            inner.add_done_callback(lambda done: relay_future(done, future))
-            return inner
-
-        if self._admission is None:
-            dispatch()
-            return
-        try:
-            self._admission.submit(
-                dispatch,
-                client=client,
-                on_cancel=lambda: future.set_exception(CancelledError()),
-            )
-        except BaseException as exc:  # QueueFullError, or a broken queue
-            future.set_exception(exc)
-            if isinstance(exc, QueueFullError):
-                emit_event(
-                    "queue.shed",
-                    identity=client,
-                    fingerprint=fingerprint,
-                    retry_after=round(exc.retry_after, 3),
-                )
-            raise
-
     # -------------------------------------------------------------- the body
-    def _execute(
-        self, request: VerifyRequest, fingerprint: str, client: str
-    ) -> VerifyResult:
+    def _execute(self, request: VerifyRequest, fingerprint: str) -> VerifyResult:
         started = time.perf_counter()
         target = request.target
         golden = cycle = rtl = perf = None
         error = error_kind = None
         compile_source = None
-        trace = collect_spans(enabled=self.tracing)
+        trace = collect_spans(enabled=self.engine.tracing)
         try:
             with trace:
                 with trace_span("verify", check=request.check, frames=request.frames):
                     with trace_span("verify_compile"):
-                        compile_result = self.engine.submit(target, client=client)
+                        compile_result = self.engine._run_in_place(target)  # noqa: SLF001
                     compile_source = compile_result.source
                     if not compile_result.ok:
                         error = f"compile failed: {compile_result.error}"
@@ -521,8 +436,6 @@ class VerifyEngine:
                             with trace_span("verify_perf"):
                                 perf = self._perf_check(schedule)
                             self._count(perf_measurements=1)
-        except QueueFullError:
-            raise  # the *compile* was shed; surface it as such, not as a verdict
         except SimulationError as exc:
             error, error_kind = str(exc), "SimulationError"
         except Exception as exc:  # noqa: BLE001 - a verdict, not a crash
@@ -723,10 +636,6 @@ class VerifyEngine:
             source=tier,
         )
 
-    def _forget(self, fingerprint: str) -> None:
-        with self._lock:
-            self._inflight.pop(fingerprint, None)
-
     # ------------------------------------------------------------ accounting
     def _count(self, **deltas) -> None:
         with self._lock:
@@ -765,15 +674,4 @@ class VerifyEngine:
 
     def admission_stats(self) -> dict:
         """The verify admission queue's counters (zero-schema when unbounded)."""
-        if self._admission is None:
-            return {
-                "max_pending": 0,
-                "overflow": self.overflow,
-                "queue_depth": 0,
-                "inflight": 0,
-                "admitted_total": 0,
-                "rejected_total": 0,
-                "blocked_total": 0,
-                "queued_clients": 0,
-            }
-        return self._admission.stats()
+        return self._tier.admission_stats()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
+from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.core.scheduler import SchedulerOptions
 from repro.dsl.parser import parse_pipeline
 from repro.estimate.report import accelerator_report
+from repro.memory.spec import asic_single_port
 from repro.rtl.lint import lint_verilog
 from repro.sim.cycle import simulate_schedule
 from repro.sim.functional import run_functional
@@ -26,7 +28,7 @@ output sharp = im(x,y) clamp(K0(x,y) + (K0(x,y) - blur_h(x,y)) * 2, 0, 255) end
 class TestTextualDslFlow:
     def test_parse_compile_simulate(self):
         dag = parse_pipeline(UNSHARP_DSL, name="unsharp-dsl")
-        accelerator = compile_pipeline(dag, image_width=W, image_height=H)
+        accelerator = compile_pipeline(CompileTarget(dag, W, H))
         report = simulate_schedule(accelerator.schedule)
         assert report.ok
         assert report.steady_state_throughput == pytest.approx(1.0, abs=0.05)
@@ -40,7 +42,7 @@ class TestTextualDslFlow:
 
     def test_verilog_from_dsl_lints(self):
         dag = parse_pipeline(UNSHARP_DSL, name="unsharp-dsl")
-        accelerator = compile_pipeline(dag, image_width=W, image_height=H)
+        accelerator = compile_pipeline(CompileTarget(dag, W, H))
         assert lint_verilog(accelerator.generate_verilog()).ok
 
 
@@ -48,16 +50,14 @@ class TestAllAlgorithmsAllGenerators:
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_imagen_schedules_are_legal(self, algorithm):
         dag = build_algorithm(algorithm)
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, W, H)).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_coalesced_schedules_are_legal(self, algorithm):
         dag = build_algorithm(algorithm)
-        schedule = compile_pipeline(
-            dag, image_width=W, image_height=H, coalescing=True
-        ).schedule
+        schedule = compile_pipeline(CompileTarget(dag, W, H).with_options(coalescing=True)).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
 
@@ -65,7 +65,10 @@ class TestAllAlgorithmsAllGenerators:
     @pytest.mark.parametrize("baseline", ["fixynn", "darkroom"])
     def test_baseline_schedules_are_legal(self, algorithm, baseline):
         dag = build_algorithm(algorithm)
-        schedule = generate_baseline(baseline, dag, W, H)
+        spec = asic_single_port() if baseline == "fixynn" else None
+        schedule = generate_baseline(
+            CompileTarget(dag, W, H, memory_spec=spec, generator=baseline)
+        ).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
 
@@ -84,12 +87,18 @@ class TestAllAlgorithmsAllGenerators:
     def test_paper_orderings_hold(self, algorithm):
         dag = build_algorithm(algorithm)
         reports = {
-            "ours": accelerator_report(compile_pipeline(dag, image_width=W, image_height=H).schedule),
+            "ours": accelerator_report(compile_pipeline(CompileTarget(dag, W, H)).schedule),
             "ours+lc": accelerator_report(
-                compile_pipeline(dag, image_width=W, image_height=H, coalescing=True).schedule
+                compile_pipeline(CompileTarget(dag, W, H).with_options(coalescing=True)).schedule
             ),
-            "fixynn": accelerator_report(generate_baseline("fixynn", dag, W, H)),
-            "darkroom": accelerator_report(generate_baseline("darkroom", dag, W, H)),
+            "fixynn": accelerator_report(
+                generate_baseline(
+                    CompileTarget(dag, W, H, memory_spec=asic_single_port(), generator="fixynn")
+                ).schedule
+            ),
+            "darkroom": accelerator_report(
+                generate_baseline(CompileTarget(dag, W, H, generator="darkroom")).schedule
+            ),
         }
         assert reports["ours"].sram_kbytes <= reports["darkroom"].sram_kbytes
         assert reports["ours"].sram_kbytes < reports["fixynn"].sram_kbytes
@@ -101,10 +110,10 @@ class TestIlpBackendsAgree:
     def test_backends_reach_same_objective(self):
         dag = build_algorithm("unsharp-m")
         highs = compile_pipeline(
-            dag, image_width=W, image_height=H, options=SchedulerOptions(backend="highs")
+            CompileTarget(dag, W, H, options=SchedulerOptions(backend="highs"))
         )
         python = compile_pipeline(
-            dag, image_width=W, image_height=H, options=SchedulerOptions(backend="python")
+            CompileTarget(dag, W, H, options=SchedulerOptions(backend="python"))
         )
         assert highs.schedule.solver_stats["objective"] == pytest.approx(
             python.schedule.solver_stats["objective"]
@@ -116,6 +125,6 @@ class TestRtlForAlgorithms:
     @pytest.mark.parametrize("algorithm", ["unsharp-m", "harris-s", "denoise-m"])
     def test_generated_verilog_lints(self, algorithm):
         dag = build_algorithm(algorithm)
-        accelerator = compile_pipeline(dag, image_width=W, image_height=H)
+        accelerator = compile_pipeline(CompileTarget(dag, W, H))
         report = lint_verilog(accelerator.generate_verilog())
         assert report.ok, report.errors

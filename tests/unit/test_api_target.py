@@ -119,3 +119,51 @@ class TestFingerprint:
         assert base.with_resolution(2 * W, H).fingerprint != base.fingerprint
         assert base.with_memory_spec(asic_single_port()).fingerprint != base.fingerprint
         assert base.with_options(coalescing=True).fingerprint != base.fingerprint
+
+
+class TestTargetOnlyEntryPoints:
+    """Every compile entry point takes a target, and says so to a bare DAG."""
+
+    @pytest.fixture
+    def engine(self):
+        from repro.service import CompileEngine
+
+        engine = CompileEngine(workers=2)
+        yield engine
+        engine.shutdown()
+
+    def test_compile_pipeline_rejects_a_bare_dag(self):
+        from repro.core.compiler import compile_pipeline
+
+        with pytest.raises(TypeError, match="compile_pipeline takes a repro.api.CompileTarget"):
+            compile_pipeline(build_chain(3))
+        with pytest.raises(TypeError):
+            compile_pipeline(build_chain(3), image_width=W, image_height=H)
+
+    def test_generate_baseline_rejects_dag_forms(self):
+        from repro.baselines import generate_baseline
+
+        with pytest.raises(TypeError, match="generate_baseline takes"):
+            generate_baseline(build_chain(3))
+        with pytest.raises(TypeError):
+            generate_baseline("soda", build_chain(3), W, H)
+
+    def test_engine_rejects_a_bare_dag(self, engine):
+        with pytest.raises(TypeError, match="CompileEngine.submit takes"):
+            engine.submit(build_chain(3))
+        with pytest.raises(TypeError, match="CompileEngine.submit takes"):
+            engine.compile(build_chain(3))
+        with pytest.raises(TypeError):
+            engine.compile(build_chain(3), image_width=W, image_height=H)
+
+    def test_engine_compile_takes_no_compile_kwargs(self, engine):
+        with pytest.raises(TypeError):
+            engine.compile(_target(dag=build_chain(3)), coalescing=True)
+        with pytest.raises(TypeError):
+            engine.compile(_target(dag=build_chain(3)), label="tagged")
+
+    def test_engine_target_paths_agree(self, engine):
+        target = _target(dag=build_chain(3))
+        assert engine.submit(target).ok
+        assert engine.compile(target).schedule is engine.submit(target).accelerator.schedule
+        assert all(result.ok for result in engine.submit_batch([target, target]))

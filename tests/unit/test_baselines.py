@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.baselines.base import BASELINE_NAMES, BaselineGenerator
 from repro.baselines.darkroom import DarkroomGenerator, linearize_dag
@@ -24,14 +25,8 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 class TestDispatch:
     def test_known_names(self):
         for name in BASELINE_NAMES:
-            schedule = generate_baseline(name, build_chain(3), W, H)
-            assert schedule.generator == name
-
-    def test_positional_form_keeps_per_generator_spec_defaults(self):
-        """No-spec legacy calls keep each generator's historical default."""
-        assert generate_baseline("soda", build_chain(3), W, H).memory_spec.name == "asic-fifo"
-        assert generate_baseline("fixynn", build_chain(3), W, H).memory_spec.name == "asic-sp"
-        assert generate_baseline("darkroom", build_chain(3), W, H).memory_spec.name == "asic-dp"
+            accelerator = generate_baseline(CompileTarget(build_chain(3), W, H, generator=name))
+            assert accelerator.schedule.generator == name
 
     def test_spec_adaptation_is_idempotent(self):
         """A spec already in the generator's form is used as-is, not renamed."""
@@ -45,9 +40,13 @@ class TestDispatch:
         adapted = SodaGenerator().generate(build_chain(3), W, H, asic_dual_port())
         assert adapted.memory_spec.name == "asic-dp-fifo"
 
+    def test_imagen_target_rejected(self):
+        with pytest.raises(BaselineError):
+            generate_baseline(CompileTarget(build_chain(3), W, H))
+
     def test_unknown_name(self):
         with pytest.raises(BaselineError):
-            generate_baseline("halide", build_chain(3), W, H)
+            generate_baseline(CompileTarget(build_chain(3), W, H, generator="halide"))
 
     def test_asap_schedule_helper(self):
         starts = BaselineGenerator.asap_schedule(build_chain(3), W)

@@ -107,10 +107,45 @@ class TestHighs:
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(257.0)
 
+    def test_unbounded(self):
+        model = Model(sense="max")
+        x = model.add_integer_var("x", lb=0)
+        model.set_objective(x + 0)
+        assert solve_highs(model).status is SolveStatus.UNBOUNDED
+
+    def test_unbounded_behind_constraints(self):
+        # Presolve answers "unbounded or infeasible" here; the backend must
+        # still report what the Python backend does.
+        model = Model(sense="max")
+        x = model.add_integer_var("x", lb=0)
+        y = model.add_integer_var("y", lb=0)
+        model.add_constraint(x - y >= 3)
+        model.set_objective(x + y)
+        assert solve_highs(model).status is SolveStatus.UNBOUNDED
+        assert solve_branch_and_bound(model).status is SolveStatus.UNBOUNDED
+
+    def test_integer_infeasible_behind_an_unbounded_relaxation(self):
+        # Also answered "unbounded or infeasible" by presolve: the LP
+        # relaxation is unbounded, but no integer z - x lies in [0.5, 0.6].
+        model = Model(sense="max")
+        x = model.add_integer_var("x", lb=0)
+        y = model.add_integer_var("y", lb=0)
+        z = model.add_integer_var("z", lb=0)
+        model.add_constraint(x + y - z >= 3)
+        model.add_constraint(z - x >= 0.5)
+        model.add_constraint(z - x <= 0.6)
+        model.set_objective(x + y + z)
+        assert solve_highs(model).status is SolveStatus.INFEASIBLE
+
 
 class TestFacade:
     def test_available_backends_contains_python(self):
         assert "python" in available_backends()
+
+    def test_available_backends_are_the_two_solvers(self):
+        backends = available_backends()
+        assert set(backends) <= {"highs", "python"}
+        assert ("highs" in backends) == is_available()
 
     def test_auto_backend(self):
         model, _ = knapsack_model()
@@ -218,19 +253,6 @@ class TestWarmStarts:
         assert result.warm_start == "none"
 
 
-class TestCancellation:
-    def test_preset_cancel_event_aborts_before_first_node(self):
-        import threading
-
-        from repro.errors import SolverCancelled
-
-        model, _ = scheduling_like_model()
-        cancel = threading.Event()
-        cancel.set()
-        with pytest.raises(SolverCancelled):
-            solve_branch_and_bound(model, cancel=cancel)
-
-
 class TestBackendResolution:
     def test_env_var_drives_auto(self, monkeypatch):
         from repro.ilp.solver import BACKEND_ENV_VAR, resolve_backend
@@ -251,42 +273,16 @@ class TestBackendResolution:
         with pytest.raises(SolverError):
             resolve_backend("auto")
 
-    def test_race_listed_only_with_highs(self):
-        backends = available_backends()
-        assert ("race" in backends) == is_available()
+    def test_race_backend_is_rejected(self, monkeypatch):
+        from repro.ilp.solver import BACKEND_ENV_VAR, resolve_backend
 
-
-class TestRacing:
-    def test_race_solves_correctly(self):
-        from repro.ilp.solver import solve_racing
-
+        assert "race" not in available_backends()
+        monkeypatch.setenv(BACKEND_ENV_VAR, "race")
+        with pytest.raises(SolverError):
+            resolve_backend("auto")
         model, _ = knapsack_model()
-        result = solve_racing(model)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(14.0)
-        if is_available():
-            assert result.backend.startswith("race:")
-        else:
-            assert result.backend == "python"  # single-contestant degradation
-
-    def test_race_agrees_on_infeasible(self):
-        from repro.ilp.solver import solve_racing
-
-        model = Model()
-        x = model.add_integer_var("x", lb=0, ub=3)
-        model.add_constraint(x >= 5)
-        assert solve_racing(model).status is SolveStatus.INFEASIBLE
-
-    def test_race_with_warm_start(self):
-        from repro.ilp.model import WarmStart
-        from repro.ilp.solver import solve_racing
-
-        model, _ = knapsack_model()
-        result = solve_racing(
-            model, warm_start=WarmStart(values={"a": 1.0, "b": 0.0, "c": 1.0})
-        )
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(14.0)
+        with pytest.raises(SolverError):
+            solve(model, backend="race")
 
 
 class TestCompound:

@@ -16,7 +16,7 @@ from concurrent.futures import CancelledError, Future
 
 import pytest
 
-import repro.service.engine as engine_module
+import repro.service.jobs as jobs_module
 from repro.api import CompileTarget
 from repro.service import CompileEngine
 from repro.service.admission import (
@@ -288,14 +288,14 @@ class TestAdmissionQueue:
 def slow_solver(monkeypatch):
     """Gate every solve on an event so tests control engine saturation."""
     gate = threading.Event()
-    real = engine_module.compile_pipeline
+    real = jobs_module.compile_pipeline
 
     def gated(target, cache=None):
         if not gate.wait(timeout=30):
             raise TimeoutError("slow_solver gate never opened")
         return real(target, cache=cache)
 
-    monkeypatch.setattr(engine_module, "compile_pipeline", gated)
+    monkeypatch.setattr(jobs_module, "compile_pipeline", gated)
     return gate
 
 

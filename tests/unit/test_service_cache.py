@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.scheduler import SchedulerOptions
 from repro.memory.spec import asic_dual_port
@@ -18,8 +19,8 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 SPEC = asic_dual_port()
 
 
-def _compile(dag, cache=None, **kwargs):
-    return compile_pipeline(dag, image_width=W, image_height=H, cache=cache, **kwargs)
+def _compile(dag, cache=None, **target_kwargs):
+    return compile_pipeline(CompileTarget(dag, W, H, **target_kwargs), cache=cache)
 
 
 class TestMemoryTier:
@@ -248,7 +249,6 @@ class TestBaselineCaching:
         chains, DFF pixels, adapted specs) because the ImaGen allocator
         cannot re-derive them from the solver decisions.
         """
-        from repro.api import CompileTarget
         from repro.estimate.report import accelerator_report
 
         store = DiskCacheStore(tmp_path)
@@ -274,8 +274,6 @@ class TestBaselineCaching:
 
     @pytest.mark.parametrize("generator", ["darkroom", "soda", "fixynn"])
     def test_every_baseline_generator_round_trips(self, tmp_path, generator):
-        from repro.api import CompileTarget
-
         target = CompileTarget(
             build_paper_example(), image_width=W, image_height=H, generator=generator
         )
@@ -289,8 +287,6 @@ class TestBaselineCaching:
         assert cold.schedule.start_cycles == warm.schedule.start_cycles
 
     def test_baseline_and_imagen_fingerprints_do_not_collide(self):
-        from repro.api import CompileTarget
-
         cache = CompileCache()
         dag = build_paper_example()
         ours = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H), cache=cache)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.algorithms import build_algorithm
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.scheduler import SchedulerOptions
 from repro.dse.sweep import sweep_memory_configurations
@@ -13,7 +14,6 @@ from repro.errors import ReproError
 from repro.service import (
     CompileCache,
     CompileEngine,
-    CompileRequest,
     CompileStatus,
 )
 
@@ -37,15 +37,15 @@ def engine():
 class TestSingleRequests:
     def test_compile_matches_direct_compile_pipeline(self, engine):
         dag = build_paper_example()
-        via_engine = engine.compile(dag, image_width=W, image_height=H)
-        direct = compile_pipeline(dag, image_width=W, image_height=H)
+        via_engine = engine.compile(CompileTarget(dag, W, H))
+        direct = compile_pipeline(CompileTarget(dag, W, H))
         assert via_engine.schedule.start_cycles == direct.schedule.start_cycles
         assert via_engine.schedule.total_allocated_bits == direct.schedule.total_allocated_bits
 
     def test_second_compile_is_a_cache_hit(self, engine):
         dag = build_paper_example()
-        first = engine.compile(dag, image_width=W, image_height=H)
-        second = engine.compile(build_paper_example(), image_width=W, image_height=H)
+        first = engine.compile(CompileTarget(dag, W, H))
+        second = engine.compile(CompileTarget(build_paper_example(), W, H))
         assert engine.cache.stats.hits == 1
         assert engine.cache.stats.misses == 1
         assert second.schedule is first.schedule
@@ -53,7 +53,7 @@ class TestSingleRequests:
 
     def test_submit_reports_latency_and_source(self, engine):
         result = engine.submit(
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="chain")
+            CompileTarget(build_chain(3), W, H, label="chain")
         )
         assert result.ok
         assert result.status is CompileStatus.OK
@@ -61,14 +61,14 @@ class TestSingleRequests:
         assert result.seconds > 0
         assert result.fingerprint
         repeat = engine.submit(
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H)
+            CompileTarget(build_chain(3), W, H)
         )
         assert repeat.source == "memory"
         assert repeat.from_cache
 
     def test_error_captured_not_raised(self, engine):
         result = engine.submit(
-            CompileRequest(dag=build_chain(3), image_width=1, image_height=H)
+            CompileTarget(build_chain(3), 1, H)
         )
         assert not result.ok
         assert result.status is CompileStatus.ERROR
@@ -80,24 +80,24 @@ class TestSingleRequests:
     def test_caller_options_not_mutated(self, engine):
         options = SchedulerOptions()
         engine.compile(
-            build_chain(3), image_width=W, image_height=H, options=options, coalescing=True
+            CompileTarget(build_chain(3), W, H, options=options).with_options(coalescing=True)
         )
         assert options.coalescing is False
 
     def test_compile_pipeline_does_not_mutate_caller_options(self):
         options = SchedulerOptions()
         compile_pipeline(
-            build_chain(3), image_width=W, image_height=H, options=options, coalescing=True
+            CompileTarget(build_chain(3), W, H, options=options).with_options(coalescing=True)
         )
         assert options.coalescing is False
 
     def test_coalescing_fallback_reuses_plain_solve(self, engine):
         dag = build_paper_example()
-        engine.compile(dag, image_width=W, image_height=H)
+        engine.compile(CompileTarget(dag, W, H))
         assert engine.cache.stats.misses == 1
         # The auto-policy +LC compile solves the coalesced ILP but takes the
         # non-coalesced solve straight from the cache.
-        engine.compile(build_paper_example(), image_width=W, image_height=H, coalescing=True)
+        engine.compile(CompileTarget(build_paper_example(), W, H).with_options(coalescing=True))
         assert engine.cache.stats.hits == 1
         assert engine.cache.stats.misses == 2
 
@@ -105,12 +105,12 @@ class TestSingleRequests:
 class TestBatches:
     def test_batch_preserves_order_and_dedupes(self, engine):
         requests = [
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="a"),
-            CompileRequest(dag=build_chain(4), image_width=W, image_height=H, label="b"),
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="c"),
+            CompileTarget(build_chain(3), W, H, label="a"),
+            CompileTarget(build_chain(4), W, H, label="b"),
+            CompileTarget(build_chain(3), W, H, label="c"),
         ]
         batch = engine.submit_batch(requests)
-        assert [r.request.label for r in batch.results] == ["a", "b", "c"]
+        assert [r.target.label for r in batch.results] == ["a", "b", "c"]
         assert all(r.ok for r in batch.results)
         sources = [r.source for r in batch.results]
         assert sources.count("deduplicated") == 1
@@ -122,22 +122,22 @@ class TestBatches:
 
     def test_one_bad_design_point_does_not_kill_the_batch(self, engine):
         requests = [
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="good"),
-            CompileRequest(dag=build_chain(3), image_width=1, image_height=H, label="bad"),
-            CompileRequest(dag=build_chain(4), image_width=W, image_height=H, label="good2"),
+            CompileTarget(build_chain(3), W, H, label="good"),
+            CompileTarget(build_chain(3), 1, H, label="bad"),
+            CompileTarget(build_chain(4), W, H, label="good2"),
         ]
         batch = engine.submit_batch(requests)
         assert len(batch.ok_results) == 2
         assert len(batch.failures) == 1
-        assert batch.failures[0].request.label == "bad"
+        assert batch.failures[0].target.label == "bad"
         with pytest.raises(ReproError, match="1/3"):
             batch.raise_on_error()
 
     def test_accelerators_helper_skips_failures(self, engine):
         batch = engine.submit_batch(
             [
-                CompileRequest(dag=build_chain(3), image_width=W, image_height=H),
-                CompileRequest(dag=build_chain(3), image_width=1, image_height=H),
+                CompileTarget(build_chain(3), W, H),
+                CompileTarget(build_chain(3), 1, H),
             ]
         )
         assert len(batch.accelerators) == 1
@@ -148,9 +148,9 @@ class TestRepeatedCompilePipeline:
         """Acceptance: a repeated compile_pipeline call is served from cache."""
         cache = CompileCache()
         dag = build_paper_example()
-        first = compile_pipeline(dag, image_width=W, image_height=H, cache=cache)
+        first = compile_pipeline(CompileTarget(dag, W, H), cache=cache)
         hits_before = cache.stats.hits
-        second = compile_pipeline(dag, image_width=W, image_height=H, cache=cache)
+        second = compile_pipeline(CompileTarget(dag, W, H), cache=cache)
         assert cache.stats.hits == hits_before + 1
         assert cache.stats.misses == 1  # only the first call solved the ILP
         assert second.schedule is first.schedule
@@ -199,8 +199,6 @@ class TestSweepIntegration:
         assert all(p.area_mm2 > 0 for p in again)
 
     def test_sweep_accepts_base_target(self, engine):
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
         via_target = sweep_memory_configurations(target, engine=engine)
         via_kwargs = sweep_memory_configurations(
@@ -211,8 +209,6 @@ class TestSweepIntegration:
 
     def test_coalesced_base_target_does_not_leak_into_all_dp_point(self):
         """The baseline/all-DP compile must ignore the base's coalescing flag."""
-        from repro.api import CompileTarget
-
         plain = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
         coalesced = plain.with_options(coalescing=True)
         from_plain = sweep_memory_configurations(plain)
@@ -234,9 +230,9 @@ class TestInlineSubmitDedup:
     @pytest.fixture
     def gated_solver(self, monkeypatch):
         """Make every solve block on a gate, counting entries."""
-        import repro.service.engine as engine_mod
+        import repro.service.jobs as jobs_mod
 
-        real = engine_mod.compile_pipeline
+        real = jobs_mod.compile_pipeline
         state = {
             "calls": 0,
             "entered": threading.Event(),
@@ -251,7 +247,7 @@ class TestInlineSubmitDedup:
             assert state["release"].wait(timeout=30)
             return real(target, cache=cache)
 
-        monkeypatch.setattr(engine_mod, "compile_pipeline", gated)
+        monkeypatch.setattr(jobs_mod, "compile_pipeline", gated)
         yield state
         state["release"].set()  # never leave blocked threads behind
 
@@ -275,8 +271,6 @@ class TestInlineSubmitDedup:
 
     def test_sync_submit_joins_inflight_batch_solve(self, engine, gated_solver):
         """Acceptance: mixed submit paths record exactly one ``compiled``."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = self._race(
             engine,
@@ -295,8 +289,6 @@ class TestInlineSubmitDedup:
 
     def test_batch_joins_inflight_inline_submit(self, engine, gated_solver):
         """The reverse race: an inline submit owns the solve, a batch joins it."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = self._race(
             engine,
@@ -310,8 +302,6 @@ class TestInlineSubmitDedup:
         assert results["second"].results[0].source == "deduplicated"
 
     def test_concurrent_inline_submits_share_one_solve(self, engine, gated_solver):
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = self._race(
             engine,
@@ -332,14 +322,12 @@ class TestInlineSubmitDedup:
         from e.g. a timed-out asyncio wrapper is a no-op instead of flipping
         the future into a state where the owner's set_result() raises.
         """
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = {}
         owner = threading.Thread(target=lambda: results.update(r=engine.submit(target)))
         owner.start()
         assert gated_solver["entered"].wait(timeout=30)
-        future = engine._inflight[target.fingerprint]
+        future = engine._tier._inflight[target.fingerprint]
         assert future.cancel() is False  # joiner cancels are no-ops
         gated_solver["release"].set()
         owner.join(timeout=30)
@@ -348,13 +336,11 @@ class TestInlineSubmitDedup:
 
     def test_sequential_submits_do_not_dedup(self, engine):
         """No in-flight twin: the second submit is a plain cache hit."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         assert engine.submit(target).source == "solver"
         assert engine.submit(target).source == "memory"
         assert engine.metrics.deduplicated == 0
-        assert not engine._inflight  # the inline future was unpublished
+        assert not engine._tier._inflight  # the inline future was unpublished
 
 
 class TestBaselineRequests:
@@ -362,8 +348,6 @@ class TestBaselineRequests:
 
     def test_repeated_baseline_served_from_cache(self, engine):
         """Acceptance: a repeated generate_baseline design point is a cache hit."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(
             build_paper_example(), image_width=W, image_height=H, generator="darkroom"
         )
@@ -378,8 +362,6 @@ class TestBaselineRequests:
         assert second.accelerator.schedule.generator == "darkroom"
 
     def test_mixed_generator_batch(self, engine):
-        from repro.api import CompileTarget
-
         base = CompileTarget(build_paper_example(), image_width=W, image_height=H)
         batch = engine.submit_batch(
             [base, base.with_generator("fixynn"), base.with_generator("soda")]
@@ -392,25 +374,11 @@ class TestBaselineRequests:
         assert len({r.fingerprint for r in batch.results}) == 3
 
     def test_unknown_generator_is_captured_as_error(self, engine):
-        from repro.api import CompileTarget
-
         result = engine.submit(
             CompileTarget(build_chain(3), image_width=W, image_height=H, generator="halide")
         )
         assert not result.ok
         assert "BaselineError" in result.error
-
-    def test_baseline_result_refuses_lossy_legacy_request_view(self, engine):
-        from repro.api import CompileTarget
-
-        result = engine.submit(
-            CompileTarget(build_chain(3), image_width=W, image_height=H, generator="soda")
-        )
-        assert result.ok
-        # CompileRequest cannot express a generator: converting would silently
-        # re-describe the design as an ImaGen compile, so it must refuse.
-        with pytest.raises(ValueError, match="soda"):
-            result.request
 
 
 class TestWorkerSizing:

@@ -111,8 +111,8 @@ class TestEngineEventWiring:
         # never-settling future, and fill the one queue slot behind it.
         hog: Future = Future()
         hog.set_running_or_notify_cancel()
-        engine._admission.submit(lambda: hog, client="hog")
-        engine._admission.submit(lambda: Future(), client="hog")
+        engine._tier._admission.submit(lambda: hog, client="hog")
+        engine._tier._admission.submit(lambda: Future(), client="hog")
         target = CompileTarget(build_chain(2), image_width=W, image_height=H)
         with pytest.raises(QueueFullError):
             engine.submit(target, client="alice")
@@ -127,9 +127,7 @@ class TestEngineEventWiring:
         from repro.core.compiler import compile_pipeline
 
         store = DiskCacheStore(tmp_path, max_bytes=1)  # everything is over budget
-        schedule = compile_pipeline(
-            build_chain(2), image_width=W, image_height=H
-        ).schedule
+        schedule = compile_pipeline(CompileTarget(build_chain(2), W, H)).schedule
         store.save("fp-old", serialize_schedule(schedule))
         store.save("fp-new", serialize_schedule(schedule))
         events = clean_default_log.recent("cache.gc")

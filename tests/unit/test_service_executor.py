@@ -203,12 +203,12 @@ class TestProcessBackend:
         thread, leaving the process pool idle for the GIL-bound case it
         exists for.  Poisoning the parent's solver proves where the job ran:
         workers are fresh interpreters and never see the monkeypatch."""
-        import repro.service.engine as engine_mod
+        import repro.service.jobs as jobs_mod
 
         def parent_must_not_solve(target, cache=None):
             raise AssertionError("cold submit ran in the serving process")
 
-        monkeypatch.setattr(engine_mod, "compile_pipeline", parent_must_not_solve)
+        monkeypatch.setattr(jobs_mod, "compile_pipeline", parent_must_not_solve)
         result = engine.submit(_target(build_chain(4)))
         assert result.ok and result.source == "solver"
 
@@ -262,7 +262,7 @@ class TestSubmitFailureRecovery:
         target = _target()
         with pytest.raises(RuntimeError, match="pool is broken"):
             engine.submit_batch([target])
-        assert not engine._inflight  # the fingerprint is not poisoned
+        assert not engine._tier._inflight  # the fingerprint is not poisoned
         backend.broken = False
         batch = engine.submit_batch([target])  # must not hang
         assert batch.results[0].ok
@@ -272,7 +272,7 @@ class TestSubmitFailureRecovery:
         engine = CompileEngine(executor=backend, prewarm=True)
         result = engine.submit(_target(build_paper_example()))  # inline path
         assert result.ok  # broken speculation backend, fine client result
-        assert not engine._inflight
+        assert not engine._tier._inflight
 
 
 class TestSpeculativePrewarm:

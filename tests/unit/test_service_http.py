@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-import repro.service.engine as engine_module
+import repro.service.jobs as jobs_module
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
 from repro.estimate.report import accelerator_report
@@ -416,14 +416,14 @@ class TestQueueFullOverHTTP:
         engine = CompileEngine(workers=1, executor="thread", max_pending=2)
         server = start_server(engine, authenticator=authenticator)
         gate = threading.Event()
-        real = engine_module.compile_pipeline
+        real = jobs_module.compile_pipeline
 
         def gated(target, cache=None):
             if not gate.wait(timeout=30):
                 raise TimeoutError("gate never opened")
             return real(target, cache=cache)
 
-        monkeypatch.setattr(engine_module, "compile_pipeline", gated)
+        monkeypatch.setattr(jobs_module, "compile_pipeline", gated)
         targets = [
             CompileTarget(build_chain(3), image_width=W + 2 * i, image_height=H)
             for i in range(4)

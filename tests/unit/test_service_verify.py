@@ -1,6 +1,8 @@
 """Unit tests for verification-as-a-service (VerifyEngine + POST /v1/verify)."""
 
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -152,17 +154,17 @@ class TestVerifyCaching:
 
 class TestVerifyAdmission:
     def test_bounded_queue_sheds_with_retry_after(self, tmp_path):
-        engine = CompileEngine(workers=1, executor="thread")
-        verify = VerifyEngine(engine, max_pending=1)
+        engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+        verify = VerifyEngine(engine)
         release = threading.Event()
         started = threading.Event()
 
         # Occupy the single verify dispatch slot with a stalled execution.
         original = verify._execute
-        def stalled(request, fingerprint, client):
+        def stalled(request, fingerprint):
             started.set()
             release.wait(30)
-            return original(request, fingerprint, client)
+            return original(request, fingerprint)
         verify._execute = stalled
         try:
             hog = threading.Thread(
@@ -202,6 +204,131 @@ class TestVerifyAdmission:
                     strict=True,
                 )
             )
+
+
+class TestVerifyCompileInPlace:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_verifies_on_a_bounded_engine_return(self, workers):
+        """Regression: each verify body held a pool thread of the engine's
+        backend and queued its compile on that same pool, so once every
+        thread held a verify body, none ever returned."""
+        engine = CompileEngine(workers=workers, executor="thread", max_pending=8)
+        verify = VerifyEngine(engine)
+        names = ("unsharp-m", "canny-s")[:workers]
+        try:
+            futures = [
+                _in_daemon_thread(
+                    verify.submit, VerifyRequest(target=_target(name), check="cycle")
+                )
+                for name in names
+            ]
+            results = [future.result(timeout=60) for future in futures]
+            assert all(result.passed for result in results)
+            assert engine.cache.stats.misses >= workers  # the compiles did run
+        finally:
+            engine.shutdown(wait=False)
+
+
+    def test_verify_runs_a_compile_queued_behind_it(self):
+        """A verify body that joins an in-flight compile still queued behind
+        the pool thread the body itself holds runs that compile in place."""
+        engine = CompileEngine(workers=1, executor="thread", max_pending=8)
+        verify = VerifyEngine(engine)
+        target = _target()
+        holding, go = threading.Event(), threading.Event()
+        original = verify._execute
+
+        def gated(request, fingerprint):
+            holding.set()
+            go.wait(30)
+            return original(request, fingerprint)
+
+        verify._execute = gated
+        try:
+            verdict = _in_daemon_thread(
+                verify.submit, VerifyRequest(target=target, check="cycle")
+            )
+            assert holding.wait(30)  # the body holds the only pool thread
+            batch = _in_daemon_thread(engine.submit_batch, [target])
+            deadline = time.monotonic() + 30
+            while target.fingerprint not in engine._tier._inflight:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            go.set()
+            assert verdict.result(timeout=60).passed
+            assert verdict.result().compile_source == "deduplicated"
+            assert batch.result(timeout=60).results[0].source == "solver"
+        finally:
+            go.set()
+            engine.shutdown(wait=False)
+
+
+class TestVerifySettingsFromEngine:
+    """A VerifyEngine takes its backend, admission and tracing from its engine."""
+
+    def test_an_in_process_engine_shares_its_backend(self):
+        engine = CompileEngine(workers=2, executor="thread")
+        try:
+            assert VerifyEngine(engine)._tier.executor is engine._executor
+        finally:
+            engine.shutdown()
+
+    def test_a_remote_engine_gets_a_private_pool_of_the_same_width(self):
+        engine = CompileEngine(workers=3, executor="process")
+        try:
+            backend = VerifyEngine(engine)._tier.executor
+            assert backend is not engine._executor
+            assert not backend.remote and backend.workers == 3
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize(
+        "max_pending, overflow", [(None, "shed"), (4, "shed"), (2, "block")]
+    )
+    def test_admission_follows_the_engine(self, max_pending, overflow):
+        engine = CompileEngine(
+            workers=1, executor="thread", max_pending=max_pending, overflow=overflow
+        )
+        try:
+            stats = VerifyEngine(engine).admission_stats()
+            assert stats["max_pending"] == engine.admission_stats()["max_pending"]
+            assert stats["max_pending"] == max_pending
+            assert stats["overflow"] == overflow
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_tracing_follows_the_engine(self, tracing):
+        engine = CompileEngine(workers=1, executor="thread", tracing=tracing)
+        try:
+            result = VerifyEngine(engine).submit(VerifyRequest(target=_target("canny-s")))
+            assert result.passed
+            assert bool(result.spans) is tracing
+        finally:
+            engine.shutdown()
+
+    def test_only_the_engine_and_verdict_capacity_are_settable(self):
+        engine = CompileEngine(workers=1, executor="thread")
+        try:
+            assert VerifyEngine(engine, max_entries=4).max_entries == 4
+            for setting in ("executor", "workers", "max_pending", "overflow", "tracing"):
+                with pytest.raises(TypeError):
+                    VerifyEngine(engine, **{setting: None})
+        finally:
+            engine.shutdown()
+
+
+def _in_daemon_thread(fn, *args) -> Future:
+    future: Future = Future()
+
+    def run():
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future
 
 
 def _swallow(verify, request):

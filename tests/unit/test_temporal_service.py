@@ -104,7 +104,7 @@ class TestTemporalVerifyService:
     @pytest.fixture
     def verify_engine(self):
         engine = CompileEngine(executor="inline", cache_dir=None)
-        return VerifyEngine(engine, executor="inline", max_pending=None)
+        return VerifyEngine(engine)
 
     @pytest.mark.parametrize("name", TEMPORAL_ALGORITHM_NAMES)
     def test_golden_and_cycle_pass(self, verify_engine, name):
