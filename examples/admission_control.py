@@ -90,6 +90,10 @@ def main() -> None:
         )
         print("  401: anonymous and garbage tokens rejected (healthz stays open)")
 
+        # Warm the design in process first: a cold solve can outlast the
+        # bucket's 0.5 s refill on a slow box, and alice's third request
+        # would then be admitted instead of throttled.
+        engine.submit(target)
         assert alice.compile(target)["ok"]
         assert alice.compile(target)["source"] in ("memory", "disk")
         throttled = expect_rejection(

@@ -360,11 +360,21 @@ def _apply_call(fn: str, args: list[np.ndarray]) -> np.ndarray:
 
 
 def estimate_operation_count(expr: Expr) -> int:
-    """Number of arithmetic operators in an expression (proxy for PE cost)."""
+    """Number of arithmetic operators in an expression (proxy for PE cost).
+
+    Computed once per expression object: nodes are frozen, so the count is
+    stored on ``expr`` (outside its dataclass fields, so equality, hashing,
+    ``str`` and fingerprints are unaffected).  The area and power reports
+    both charge every stage, on every served result.
+    """
+    cached = expr.__dict__.get("_operation_count")
+    if cached is not None:
+        return cached
     count = 0
     for node in walk(expr):
         if isinstance(node, (BinOp, UnaryOp)):
             count += 1
         elif isinstance(node, Call):
             count += max(1, len(node.args) - 1)
+    object.__setattr__(expr, "_operation_count", count)
     return count

@@ -16,7 +16,8 @@ Endpoints
   (:func:`repro.service.wire.target_to_wire`).  Responds 200 with
   :func:`repro.service.wire.result_to_wire` output; compile *failures* are
   ``ok: false`` JSON (the request was served), while undecodable payloads are
-  400s.
+  400s.  A byte-identical repeat of a body reuses its decoded target
+  (:class:`DecodeMemo`); auth, throttling and the engine still run.
 * ``POST /v1/batch`` — body: ``{"targets": [...]}``.  Responds 200 with
   ordered per-item results; an undecodable, failing or queue-shed item
   yields an error-carrying entry in its slot, never a 500 for the whole
@@ -81,11 +82,13 @@ volume (LRU-by-mtime eviction on save).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
 import threading
 import time
+from collections import OrderedDict
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -127,12 +130,76 @@ DEFAULT_PORT = 8080
 #: or silence.
 ACCESS_LOG_MODES = ("plain", "json", "none")
 
+#: Capacity of each server's decode memo (:class:`DecodeMemo`).
+DECODE_MEMO_ENTRIES = 128
+
 
 def _query_flag(value: str | None) -> bool:
     """Interpret a query-string toggle (``?trace=1``): absent/falsy = off."""
     if value is None:
         return False
     return value.strip().lower() not in ("", "0", "false", "off", "no")
+
+
+def _parse_json(body: bytes):
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        raise WireFormatError("Request body is not valid JSON") from None
+
+
+def _target_from_body(body: bytes) -> CompileTarget:
+    payload = _parse_json(body)
+    # Accept the bare wire target, or {"target": {...}} for symmetry with the
+    # batch endpoint.
+    if isinstance(payload, dict) and "target" in payload:
+        payload = payload["target"]
+    return target_from_wire(payload)
+
+
+class DecodeMemo:
+    """Bounded LRU from a ``POST /v1/compile`` body to its decoded target.
+
+    Identical bytes decode to identical targets, so a warm client repeating
+    a request skips ``json.loads``, :func:`target_from_wire` and the
+    fingerprint.  The key is a 16-byte ``blake2b`` digest the server takes
+    of the body itself; nothing a client sends is trusted as a key.  Only
+    successful decodes are stored, and only the immutable target (with its
+    fingerprint memoized), never a result: every hit still goes through
+    auth, throttling, ``engine.submit`` and ``result_to_wire``.  Handler
+    threads share one memo, hence the lock.
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict[bytes, CompileTarget] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def target(self, body: bytes) -> CompileTarget:
+        """The target ``body`` decodes to; raises :class:`WireFormatError`."""
+        key = hashlib.blake2b(body, digest_size=16).digest()
+        with self._lock:
+            target = self._entries.get(key)
+            if target is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return target
+            self.misses += 1
+        target = _target_from_body(body)
+        target.fingerprint  # memoize before handler threads share the target
+        with self._lock:
+            self._entries[key] = target
+            if len(self._entries) > DECODE_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+        return target
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {"decode_memo_hits": self.hits, "decode_memo_misses": self.misses}
 
 
 class ServiceError(ReproError):
@@ -171,6 +238,9 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
     # HTTP/1.1 keeps client connections alive between requests; every
     # response below carries an exact Content-Length, as 1.1 requires.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: with Nagle on, a keep-alive client's next request waits
+    # out the peer's delayed ACK (~40 ms) behind each response.
+    disable_nagle_algorithm = True
 
     @property
     def engine(self) -> CompileEngine:
@@ -284,11 +354,11 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
         identity = self._identify()
         if identity is None:
             return
-        payload = self._read_json()
-        if payload is None:
+        body = self._read_body()
+        if body is None:
             return  # error response already sent
         try:
-            route(payload, identity, include_spans=_query_flag(query.get("trace")))
+            route(body, identity, include_spans=_query_flag(query.get("trace")))
         except WireFormatError as exc:
             self._send(400, {"error": str(exc)})
         except QueueFullError as exc:
@@ -305,19 +375,16 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
             # failure becomes a 500 body instead of an opaque dropped socket.
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    def _compile_one(self, payload, identity: str, *, include_spans: bool = False) -> None:
-        # Accept the bare wire target, or {"target": {...}} for symmetry with
-        # the batch endpoint.
-        if isinstance(payload, dict) and "target" in payload:
-            payload = payload["target"]
-        target = target_from_wire(payload)
+    def _compile_one(self, body: bytes, identity: str, *, include_spans: bool = False) -> None:
+        target = self.server.decode_memo.target(body)
         if not self._throttle(identity, cost=1):
             return
         result = self.engine.submit(target, client=identity)
         self._fingerprint = result.fingerprint
         self._send(200, result_to_wire(result, include_spans=include_spans))
 
-    def _compile_batch(self, payload, identity: str, *, include_spans: bool = False) -> None:
+    def _compile_batch(self, body: bytes, identity: str, *, include_spans: bool = False) -> None:
+        payload = _parse_json(body)
         if not isinstance(payload, dict) or not isinstance(payload.get("targets"), list):
             raise WireFormatError('Batch body must be {"targets": [...]}')
         # Rate limiting charges one token per design point, not per HTTP
@@ -347,8 +414,8 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
         ]
         self._send(200, body)
 
-    def _verify_one(self, payload, identity: str, *, include_spans: bool = False) -> None:
-        request = verify_request_from_wire(payload)
+    def _verify_one(self, body: bytes, identity: str, *, include_spans: bool = False) -> None:
+        request = verify_request_from_wire(_parse_json(body))
         if not self._throttle(identity, cost=1):
             return
         result = self.server.verify_engine.submit(request, client=identity)
@@ -373,6 +440,7 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
         summary = self.engine.metrics.summary()
         summary.update(self.engine.executor_stats())
         summary.update(self.engine.admission_stats())
+        summary.update(self.server.decode_memo.stats())
         for key, value in self.server.verify_engine.stats().items():
             summary[f"verify_{key}"] = value
         summary["auth"] = "token" if self.server.authenticator else "anonymous"
@@ -400,8 +468,8 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
                 stats["disk_max_age_seconds"] = cache.store.max_age_seconds
         return stats
 
-    def _read_json(self):
-        """Parse the request body; on failure send the 4xx and return None."""
+    def _read_body(self) -> bytes | None:
+        """Read the request body; on a bad length send the 4xx and return None."""
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
@@ -412,12 +480,7 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
         if length > MAX_REQUEST_BYTES:
             self._send(413, {"error": f"Request body exceeds {MAX_REQUEST_BYTES} bytes"})
             return None
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            self._send(400, {"error": "Request body is not valid JSON"})
-            return None
+        return self.rfile.read(length)
 
     def _send(self, status: int, payload: dict, *, extra_headers: dict | None = None) -> None:
         self._send_bytes(
@@ -449,10 +512,16 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
             # request line and desync the connection.  Close instead.
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
+        body_bytes = len(body)
+        if self.request_version != "HTTP/0.9":
+            # What end_headers() does, minus its separate write: the status
+            # line, headers and body leave in one send.
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
         if self.server.access_log == "json":
-            self._log_json(status, len(body))
+            self._log_json(status, body_bytes)
 
     def _log_json(self, status: int, body_bytes: int) -> None:
         """One JSON line per answered request, on the stdlib's log stream."""
@@ -514,6 +583,7 @@ class CompileServiceServer(ThreadingHTTPServer):
         self.access_log = access_log
         self.authenticator = authenticator
         self.rate_limiter = rate_limiter
+        self.decode_memo = DecodeMemo()
         self._serve_thread: threading.Thread | None = None
         super().__init__(address, CompileServiceHandler)
 

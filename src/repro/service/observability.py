@@ -188,6 +188,8 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("verify_seconds_total", "counter", "seconds", "Wall-clock seconds spent answering verification requests.", prometheus="repro_verify_seconds_total"),
     MetricSpec("verify_cache_entries", "gauge", "", "Entries in the in-memory verdict cache.", prometheus="repro_verify_cache_entries"),
     # -- HTTP front ----------------------------------------------------------
+    MetricSpec("decode_memo_hits", "counter", "", "POST /v1/compile bodies answered from the HTTP front's decode memo (no JSON parse, wire decode or fingerprint).", prometheus="repro_decode_memo_hits_total"),
+    MetricSpec("decode_memo_misses", "counter", "", "POST /v1/compile bodies the decode memo did not hold (decoded afresh; malformed ones are never stored).", prometheus="repro_decode_memo_misses_total"),
     MetricSpec("throttled_total", "counter", "", "Requests answered 429 by the per-identity rate limiter.", prometheus="repro_throttled_total"),
     MetricSpec("rate_limit", "object", "", "Rate-limiter configuration and counters (present when --rate-limit is set)."),
     MetricSpec("auth", "info", "", "Authentication mode, token or anonymous (label on repro_service_info)."),

@@ -126,3 +126,86 @@ class TestEvaluation:
         image = ramp()
         result = ast.evaluate(ast.StageRef("K0") // 2.0, {"K0": image})
         np.testing.assert_allclose(result, np.floor_divide(image, 2.0))
+
+
+# Intrinsic-heavy DSL stages alongside plain stencils, so every counting rule
+# (binary, unary, n-ary calls) is exercised through the parser.
+_DSL_TEXTS = (
+    """
+input I;
+B = im(x,y) (I(x-1,y) + 2*I(x,y) + I(x+1,y)) / 4 end
+output O = im(x,y) I(x,y) + (I(x,y) - B(x,y)) end
+""",
+    """
+input I;
+GX = im(x,y) I(x+1,y) - I(x-1,y) end
+GY = im(x,y) I(x,y+1) - I(x,y-1) end
+M = im(x,y) sqrt(GX(x,y)*GX(x,y) + GY(x,y)*GY(x,y)) end
+output E = im(x,y) clamp(max(M(x-1,y), M(x,y), M(x+1,y)), 0, 255) end
+""",
+    """
+input I;
+A = im(x,y) abs(I(x,y) - I(x+1,y+1)) end
+output S = im(x,y) select(A(x,y) > 8, min(A(x,y), I(x,y)), -A(x,y)) end
+""",
+)
+
+
+def _memo_dags():
+    from repro.algorithms import algorithm_names, build_algorithm
+    from repro.dsl.parser import parse_pipeline
+
+    dags = [build_algorithm(name) for name in algorithm_names()]
+    dags += [parse_pipeline(text, name=f"dsl-{i}") for i, text in enumerate(_DSL_TEXTS)]
+    return dags
+
+
+class TestOperationCountMemo:
+    def test_memoized_count_equals_a_fresh_walk(self, monkeypatch):
+        from repro.service.wire import expr_from_wire, expr_to_wire
+
+        expressions = [
+            stage.expression
+            for dag in _memo_dags()
+            for stage in dag.stages()
+            if stage.expression is not None
+        ]
+        assert len(expressions) > 30
+        counts = [ast.estimate_operation_count(expr) for expr in expressions]
+        fresh = [expr_from_wire(expr_to_wire(expr)) for expr in expressions]
+        assert not any("_operation_count" in copy.__dict__ for copy in fresh)
+        assert [ast.estimate_operation_count(copy) for copy in fresh] == counts
+
+        def no_walk(expr):
+            raise AssertionError("memoized count walked the tree again")
+
+        monkeypatch.setattr(ast, "walk", no_walk)
+        assert [ast.estimate_operation_count(expr) for expr in expressions] == counts
+
+    def test_memo_leaves_identity_untouched(self):
+        expr = ast.Call("max", (ast.StageRef("A"), ast.StageRef("A", 1, 0) * 2.0))
+        twin = ast.Call("max", (ast.StageRef("A"), ast.StageRef("A", 1, 0) * 2.0))
+        before = (str(expr), hash(expr), repr(expr))
+        assert ast.estimate_operation_count(expr) == 2
+        assert (str(expr), hash(expr), repr(expr)) == before
+        assert expr == twin and hash(expr) == hash(twin)
+
+    def test_pickled_dag_keeps_fingerprint_and_counts(self):
+        import pickle
+
+        from repro.api import CompileTarget
+
+        for dag in _memo_dags():
+            pristine = CompileTarget(dag, image_width=64, image_height=48).fingerprint
+            counts = {
+                stage.name: ast.estimate_operation_count(stage.expression)
+                for stage in dag.stages()
+                if stage.expression is not None
+            }
+            clone = pickle.loads(pickle.dumps(dag))
+            assert CompileTarget(clone, image_width=64, image_height=48).fingerprint == pristine
+            assert {
+                stage.name: ast.estimate_operation_count(stage.expression)
+                for stage in clone.stages()
+                if stage.expression is not None
+            } == counts

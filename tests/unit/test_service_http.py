@@ -2,6 +2,8 @@
 
 import json
 import http.client
+import statistics
+import sys
 import threading
 import time
 
@@ -21,6 +23,7 @@ from repro.service import (
     target_to_wire,
 )
 from repro.service.admission import TokenRecord
+from repro.service.http import DECODE_MEMO_ENTRIES, DecodeMemo
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
 
@@ -279,6 +282,165 @@ class TestOperationalEndpoints:
         )
         assert status == 400
         assert "error" in body
+
+
+def _chain_body(label=""):
+    target = CompileTarget(build_chain(3), image_width=W, image_height=H, label=label)
+    return json.dumps(target_to_wire(target))
+
+
+def _post_compile(port, body, *, path="/v1/compile", token=None):
+    headers = {"Content-Type": "application/json"}
+    if token is not None:
+        headers["Authorization"] = f"Bearer {token}"
+    return _raw_request(port, "POST", path, body=body, headers=headers)
+
+
+class TestKeepAliveLatency:
+    def test_warm_hits_and_healthz_on_one_connection_are_fast(self, service):
+        """Regression: a keep-alive client used to wait out the peer's
+        delayed ACK (~40 ms) on every request, because the response went
+        out as two Nagle-held writes.  Warm hits must cost milliseconds."""
+        _, _, server = service
+        body = _chain_body()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+
+        def round_trip_ms(method, path, payload=None):
+            started = time.perf_counter()
+            connection.request(method, path, body=payload)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            return (time.perf_counter() - started) * 1000.0
+
+        try:
+            round_trip_ms("POST", "/v1/compile", body)  # cold solve, then warm
+            compile_ms = [round_trip_ms("POST", "/v1/compile", body) for _ in range(20)]
+            health_ms = [round_trip_ms("GET", "/healthz") for _ in range(20)]
+        finally:
+            connection.close()
+        assert statistics.median(compile_ms) < 15.0, compile_ms
+        assert statistics.median(health_ms) < 15.0, health_ms
+
+
+class TestDecodeMemo:
+    """A memo hit skips only the decode: every other step of a request runs."""
+
+    def test_hit_still_counts_in_engine_metrics(self, service):
+        client, engine, server = service
+        body = _chain_body()
+        sources = [_post_compile(server.port, body)[1]["source"] for _ in range(3)]
+        assert sources[0] == "solver" and sources[1:] == ["memory", "memory"]
+        summary = engine.metrics.summary()
+        assert summary["requests"] == 3
+        assert summary["served_from_cache"] == 2
+        assert server.decode_memo.stats() == {"decode_memo_hits": 2, "decode_memo_misses": 1}
+        metrics = client.metrics()
+        assert (metrics["decode_memo_hits"], metrics["decode_memo_misses"]) == (2, 1)
+        exposition = client.metrics_prometheus()
+        assert "repro_decode_memo_hits_total 2\n" in exposition
+        assert "repro_decode_memo_misses_total 1\n" in exposition
+
+    def test_hit_still_returns_spans_under_trace(self, service):
+        _, _, server = service
+        body = _chain_body()
+        _post_compile(server.port, body)
+        status, result = _post_compile(server.port, body, path="/v1/compile?trace=1")
+        assert status == 200
+        assert server.decode_memo.hits == 1
+        assert result["spans"] and result["spans"][0]["name"] == "cache"
+
+    def test_labels_differ_only_by_body(self, service):
+        _, _, server = service
+        replies = {}
+        for _ in range(2):
+            for label in ("left", "right"):
+                body = _chain_body(label)
+                replies.setdefault(label, []).append(_post_compile(server.port, body)[1])
+        assert [r["label"] for r in replies["left"]] == ["left", "left"]
+        assert [r["label"] for r in replies["right"]] == ["right", "right"]
+        assert replies["left"][1]["fingerprint"] == replies["right"][1]["fingerprint"]
+        assert len(server.decode_memo) == 2 and server.decode_memo.hits == 2
+
+    def test_malformed_bodies_are_never_memoized(self, service):
+        _, _, server = service
+        for body in ("{not json", json.dumps({"dag": {"stages": [], "edges": []}})):
+            for _ in range(2):
+                assert _post_compile(server.port, body)[0] == 400
+        assert len(server.decode_memo) == 0
+        assert server.decode_memo.stats() == {"decode_memo_hits": 0, "decode_memo_misses": 4}
+
+    def test_memo_is_bounded_lru(self):
+        memo = DecodeMemo()
+        bodies = [_chain_body(f"t{i}").encode("utf-8") for i in range(DECODE_MEMO_ENTRIES + 2)]
+        first = memo.target(bodies[0])
+        for body in bodies[1:DECODE_MEMO_ENTRIES]:
+            memo.target(body)
+        assert memo.target(bodies[0]) is first  # refreshed: now most recent
+        for body in bodies[DECODE_MEMO_ENTRIES:]:
+            memo.target(body)
+        assert len(memo) == DECODE_MEMO_ENTRIES
+        assert memo.target(bodies[0]) is first  # survived the two evictions
+        misses = memo.misses
+        memo.target(bodies[1])  # the least recent entry was evicted
+        assert memo.misses == misses + 1
+        assert len(memo) == DECODE_MEMO_ENTRIES
+
+    def test_concurrent_lookups_lose_no_count(self):
+        """Handler threads share one memo: counters and the bound survive a
+        forced-preemption stress run."""
+        memo = DecodeMemo()
+        bodies = [_chain_body(f"t{i}").encode("utf-8") for i in range(6)]
+        calls, threads_n = 40, 8
+        wrong = []
+
+        def hammer(offset):
+            for i in range(calls):
+                body = bodies[(offset + i) % len(bodies)]
+                if memo.target(body).label != json.loads(body)["label"]:
+                    wrong.append(body)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert memo.hits + memo.misses == calls * threads_n
+        assert len(memo) == len(bodies)
+
+    def test_hit_recompiles_after_cache_clear(self):
+        engine = CompileEngine(workers=1, executor="thread")
+        server = start_server(engine)
+        try:
+            body = _chain_body()
+            first = _post_compile(server.port, body)[1]
+            engine.cache.clear()
+            again = _post_compile(server.port, body)[1]
+            assert server.decode_memo.hits == 1
+            assert again["source"] == "solver"
+            assert again["fingerprint"] == first["fingerprint"]
+            assert again["report"] == first["report"]
+        finally:
+            server.stop()
+            engine.shutdown()
+
+    def test_hit_still_authenticates_and_throttles(self, secured_service):
+        server, engine, _ = secured_service
+        body = _chain_body()
+        assert _post_compile(server.port, body, token="alice-secret")[0] == 200
+        assert _post_compile(server.port, body, token="garbage")[0] == 401
+        assert _post_compile(server.port, body, token="alice-secret")[0] == 200
+        status, error = _post_compile(server.port, body, token="alice-secret")
+        assert status == 429 and error["reason"] == "rate-limited"
+        assert server.decode_memo.hits == 2
+        assert engine.metrics.summary()["requests"] == 2
 
 
 # ---------------------------------------------------------------------------
