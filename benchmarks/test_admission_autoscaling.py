@@ -15,6 +15,7 @@ fleet's.  Single-core runners skip (there is no fleet to scale).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -56,6 +57,10 @@ def test_process_auto_reaches_fixed_fleet_throughput(benchmark):
 
         with CompileEngine(workers=workers, executor="process") as fixed:
             fixed.submit_batch(targets[:workers])  # spawn + import, once
+            # A full garbage collection over a whole test session's heap
+            # takes about as long as one timed window (~100 ms); start both
+            # windows with none due, so it cannot land in just one of them.
+            gc.collect()
             start = time.perf_counter()
             fixed_batch = fixed.submit_batch(targets[workers:])
             fixed_seconds = time.perf_counter() - start
@@ -65,6 +70,7 @@ def test_process_auto_reaches_fixed_fleet_throughput(benchmark):
             # concurrent cold jobs scale it to the ceiling.
             auto.submit_batch(targets[:workers])
             grown = auto.executor_stats()["workers"]
+            gc.collect()
             start = time.perf_counter()
             auto_batch = auto.submit_batch(targets[workers:])
             auto_seconds = time.perf_counter() - start

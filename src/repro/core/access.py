@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import AllocationError
+
 
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer ceiling division for non-negative denominators."""
@@ -101,7 +103,7 @@ def required_line_slots(max_delay: int, width: int) -> int:
 def model_line_slots(max_delay: int, width: int) -> int:
     """Eq. 2 exactly: ``ceil(delay / W)`` lines (the paper's reported size)."""
     if max_delay <= 0:
-        return 0 if max_delay == 0 else 0
+        return 0
     return math.ceil(max_delay / width)
 
 
@@ -137,13 +139,19 @@ def minimal_slot_count(
     buffer's writer (the writer itself is ``(0, 1)`` and is added
     automatically).  Starting from the capacity bound
     ``floor(max_delay / W) + 1`` (the lines that must coexist), the function
-    checks one steady-state period at element granularity: logical lines wrap
-    onto ``B`` physical slots (grouped ``coalesce_factor`` per block), and no
-    block may collect more accesses in a cycle than it has ports.  Slot-count
+    checks one steady-state period of ``W`` cycles: logical lines wrap onto
+    ``B`` physical slots (grouped ``coalesce_factor`` per block), and no block
+    may collect more accesses in a cycle than it has ports.  Within the period
+    each accessor's row steps exactly once, so the per-block counts are
+    piecewise constant over at most ``len(accessors) + 1`` access segments and
+    one cycle per segment decides the period, whatever ``W`` is.  Slot-count
     aliasing between the writer's newest line and a slow consumer's oldest
-    line occasionally needs one extra slot; the search adds at most
-    ``max_extra`` lines before giving up (which would indicate a scheduling
-    bug).
+    line occasionally needs one extra slot; the search tries up to
+    ``max_extra`` lines more, each count rounded up to whole blocks so the
+    line-to-block grouping stays stable as the buffer wraps (a buffer
+    smaller than one block is a single block), and raises
+    :class:`AllocationError` if none fits (which would indicate a scheduling
+    bug).  The count returned is the one checked.
     """
     if not accessors:
         return 0
@@ -155,11 +163,14 @@ def minimal_slot_count(
     # Steady state starts once every accessor is active; one period of W cycles
     # covers every relative column phase.
     t0 = (max_delay // width + 2) * width
-    for extra in range(max_extra + 1):
-        slots = base + extra
+    candidates = sorted({s + -s % min(factor, s) for s in range(base, base + max_extra + 1)})
+    for slots in candidates:
         if _period_is_legal(width, ports, all_accessors, slots, factor, t0):
             return slots
-    return base + max_extra
+    raise AllocationError(
+        f"No slot count in {candidates} keeps a width-{width} buffer "
+        f"within {ports} port(s) per block for accessors {accessors}"
+    )
 
 
 def _period_is_legal(
@@ -170,7 +181,10 @@ def _period_is_legal(
     factor: int,
     t0: int,
 ) -> bool:
-    for t in range(t0, t0 + width):
+    # Accessor (delay, height) reads rows from (t - delay) // width, which
+    # changes only at cycles t = delay (mod width); one probe cycle per access
+    # segment of [t0, t0 + width) sees every distinct set of block counts.
+    for t in {t0} | {t0 + (delay - t0) % width for delay, _ in accessors}:
         block_accesses: dict[int, int] = {}
         for delay, height in accessors:
             n = t - delay
@@ -178,9 +192,7 @@ def _period_is_legal(
                 continue
             row = n // width
             for k in range(height):
-                line = row + k
-                slot = line % slots
-                block = slot // factor
+                block = ((row + k) % slots) // factor
                 block_accesses[block] = block_accesses.get(block, 0) + 1
         if any(count > ports for count in block_accesses.values()):
             return False

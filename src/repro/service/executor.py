@@ -376,13 +376,14 @@ class ProcessExecutor(ExecutorBackend):
 
 
 class _AutoWorker:
-    """One managed worker slot: a single-worker backend plus its idle stamp."""
+    """One managed worker slot: a single-worker backend, its jobs and idle stamp."""
 
-    __slots__ = ("backend", "idle_since")
+    __slots__ = ("backend", "idle_since", "in_flight")
 
     def __init__(self, backend: ExecutorBackend) -> None:
         self.backend = backend
         self.idle_since = 0.0
+        self.in_flight = 0
 
 
 class AutoscalingExecutor(ExecutorBackend):
@@ -391,6 +392,9 @@ class AutoscalingExecutor(ExecutorBackend):
     Jobs are dispatched to an idle worker when one exists; otherwise the
     fleet grows by one (up to ``max_workers``, each scale-up counted and
     logged to the event ring) and, at the ceiling, jobs queue internally.  A
+    process worker may hold one of those jobs queued behind the one it runs,
+    so it does not idle while a result crosses back to the parent; it takes
+    one only while the backlog holds a job for every busy worker.  A
     worker that finishes takes the oldest queued job or goes idle; workers
     idle longer than ``idle_seconds`` are retired down to ``min_workers`` —
     lazily on the next submission, and by a daemon timer when traffic stops
@@ -440,6 +444,7 @@ class AutoscalingExecutor(ExecutorBackend):
         self._scale_downs = 0
         self._events: deque[dict] = deque(maxlen=32)
         self._reap_timer: threading.Timer | None = None
+        self._depth = 2 if self.remote else 1
 
     # ------------------------------------------------------------- lifecycle
     def _spawn_locked(self) -> _AutoWorker:
@@ -469,6 +474,7 @@ class AutoscalingExecutor(ExecutorBackend):
         placeholder: Future = Future()
         placeholder.set_running_or_notify_cancel()
         worker: _AutoWorker | None = None
+        job = (run_local, target, fingerprint, placeholder)
         with self._cond:
             retired = self._reap_locked()
             if self._idle:
@@ -483,11 +489,14 @@ class AutoscalingExecutor(ExecutorBackend):
                 worker = self._spawn_locked()
                 self._busy.add(worker)
             else:
-                self._backlog.append((run_local, target, fingerprint, placeholder))
+                self._backlog.append(job)
+                worker, job = self._prefetch_locked()
+            if worker is not None:
+                worker.in_flight += 1
         for expired in retired:
             expired.backend.shutdown(wait=False)
         if worker is not None:
-            self._dispatch(worker, run_local, target, fingerprint, placeholder)
+            self._dispatch(worker, *job)
         return placeholder
 
     def _dispatch(self, worker, run_local, target, fingerprint, placeholder) -> None:
@@ -510,7 +519,10 @@ class AutoscalingExecutor(ExecutorBackend):
         with self._cond:
             if worker not in self._busy:
                 return  # shutdown already removed it
-            if self._backlog:
+            worker.in_flight -= 1
+            if worker.in_flight:
+                job = self._prefetch_locked(worker)[1]
+            elif self._backlog:
                 job = self._backlog.popleft()
             else:
                 self._busy.discard(worker)
@@ -520,9 +532,26 @@ class AutoscalingExecutor(ExecutorBackend):
                 # the back.
                 self._idle.append(worker)
                 self._schedule_reap_locked()
+            if job is not None:
+                worker.in_flight += 1
             self._cond.notify_all()
         if job is not None:
             self._dispatch(worker, *job)
+
+    def _prefetch_locked(self, worker: _AutoWorker | None = None):
+        """``(worker, job)``: the oldest backlog job, queued behind a running one.
+
+        Only for process workers, and only while the backlog holds a job for
+        every busy worker, so a worker that comes free still finds one there;
+        otherwise ``(None, None)``.
+        """
+        if len(self._backlog) < len(self._busy):
+            return None, None
+        if worker is None:
+            worker = min(self._busy, key=lambda w: w.in_flight)
+        if worker.in_flight >= self._depth:
+            return None, None
+        return worker, self._backlog.popleft()
 
     # ---------------------------------------------------------------- reaping
     def _reap_locked(self) -> list[_AutoWorker]:
@@ -575,7 +604,8 @@ class AutoscalingExecutor(ExecutorBackend):
                 "max_workers": self.workers,
                 "min_workers": self.min_workers,
                 "busy_workers": len(self._busy),
-                "executor_queue_depth": len(self._backlog),
+                "executor_queue_depth": len(self._backlog)
+                + sum(worker.in_flight - 1 for worker in self._busy),
                 "scale_ups": self._scale_ups,
                 "scale_downs": self._scale_downs,
                 "scaling_events": list(self._events),

@@ -78,6 +78,35 @@ def build_two_consumer(stencil_a: int = 3, stencil_b: int = 3) -> PipelineDAG:
     return builder.build()
 
 
+def period_is_legal_by_cycle(
+    width: int,
+    ports: int,
+    accessors: list[tuple[int, int]],
+    slots: int,
+    factor: int,
+    t0: int,
+) -> bool:
+    """Reference port-contention check: walk every cycle of ``[t0, t0 + width)``.
+
+    The test oracle for :func:`repro.core.access._period_is_legal`, which
+    probes one cycle per access segment instead.  Same arguments, same
+    verdict; its cost grows with ``width``.
+    """
+    for t in range(t0, t0 + width):
+        block_accesses: dict[int, int] = {}
+        for delay, height in accessors:
+            n = t - delay
+            if n < 0:
+                continue
+            row = n // width
+            for k in range(height):
+                block = ((row + k) % slots) // factor
+                block_accesses[block] = block_accesses.get(block, 0) + 1
+        if any(count > ports for count in block_accesses.values()):
+            return False
+    return True
+
+
 @pytest.fixture
 def chain_dag() -> PipelineDAG:
     return build_chain()

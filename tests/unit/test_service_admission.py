@@ -16,6 +16,7 @@ from concurrent.futures import CancelledError, Future
 
 import pytest
 
+import repro.service.executor as executor_module
 import repro.service.jobs as jobs_module
 from repro.api import CompileTarget
 from repro.service import CompileEngine
@@ -637,6 +638,98 @@ class TestAutoscalingExecutor:
             assert backend.stats()["workers"] == 1
         finally:
             backend.shutdown()
+
+    @staticmethod
+    def _manual_process_workers(monkeypatch) -> list:
+        """Stand-in process workers whose jobs finish only when a test says so."""
+        workers = []
+
+        class ManualWorker:
+            def __init__(self, count, **_):
+                self.jobs = []
+                workers.append(self)
+
+            def submit(self, run_local, target, fingerprint):
+                future = Future()
+                future.set_running_or_notify_cancel()
+                self.jobs.append((fingerprint, future))
+                return future
+
+            def finish(self, index):
+                name, future = self.jobs[index]
+                future.set_result(f"done-{name}")
+
+            def names(self):
+                return [name for name, _ in self.jobs]
+
+            def shutdown(self, wait=True, *, cancel_pending=False):
+                pass
+
+        monkeypatch.setattr(executor_module, "ProcessExecutor", ManualWorker)
+        return workers
+
+    def test_process_worker_queues_a_job_behind_its_running_one(self, monkeypatch):
+        """A process worker gets its next job before the current result is
+        back, so it does not idle for the parent's round trip; queued jobs
+        count towards the queue depth."""
+        workers = self._manual_process_workers(monkeypatch)
+        backend = AutoscalingExecutor(1, mode="process")
+        try:
+            futures = [backend.submit(None, None, f"job-{i}") for i in range(4)]
+            (worker,) = workers
+            assert worker.names() == ["job-0", "job-1"]
+            assert backend.stats()["executor_queue_depth"] == 3
+            worker.finish(0)
+            assert worker.names() == ["job-0", "job-1", "job-2"]
+            assert backend.stats()["executor_queue_depth"] == 2
+            for index in range(1, 4):
+                worker.finish(index)
+            assert [f.result(timeout=5) for f in futures] == [
+                f"done-job-{i}" for i in range(4)
+            ]
+            stats = backend.stats()
+            assert (stats["busy_workers"], stats["executor_queue_depth"]) == (0, 0)
+        finally:
+            backend.shutdown(wait=False, cancel_pending=True)
+
+    def test_a_freed_process_worker_takes_the_waiting_job(self, monkeypatch):
+        """Worker A runs a long job and B a short one; one more job waits.
+        It stays in the shared backlog, not queued behind A, so B runs it as
+        soon as B is free."""
+        workers = self._manual_process_workers(monkeypatch)
+        backend = AutoscalingExecutor(2, mode="process")
+        try:
+            futures = [backend.submit(None, None, name) for name in ("long", "short", "x")]
+            first, second = workers
+            assert (first.names(), second.names()) == (["long"], ["short"])
+            assert backend.stats()["executor_queue_depth"] == 1
+            second.finish(0)
+            assert (first.names(), second.names()) == (["long"], ["short", "x"])
+            second.finish(1)
+            assert futures[2].result(timeout=5) == "done-x"
+            assert not futures[0].done()
+            first.finish(0)
+            assert futures[0].result(timeout=5) == "done-long"
+        finally:
+            backend.shutdown(wait=False, cancel_pending=True)
+
+    def test_a_job_is_queued_behind_a_worker_only_with_one_left_for_each(
+        self, monkeypatch
+    ):
+        workers = self._manual_process_workers(monkeypatch)
+        backend = AutoscalingExecutor(2, mode="process")
+        try:
+            for index in range(4):
+                backend.submit(None, None, f"job-{index}")
+            first, second = workers
+            # job-2 went behind one worker; job-3 stays for whichever is free.
+            assert sorted(first.names() + second.names()) == ["job-0", "job-1", "job-2"]
+            assert backend.stats()["executor_queue_depth"] == 2
+            idle = first if len(first.jobs) == 1 else second
+            idle.finish(0)
+            assert idle.names()[-1] == "job-3"
+        finally:
+            backend.shutdown(wait=False, cancel_pending=True)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
